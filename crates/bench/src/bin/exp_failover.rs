@@ -2,29 +2,30 @@
 //! mid-flood, promote the follower, and prove the guarantees the
 //! replication tier sells — the failover tier's proving run.
 //!
-//! Three scenarios run in sequence, all on in-process `Server` pairs so
-//! the kill point is exact and reproducible from the seed:
+//! Three scenarios run in sequence, all on in-process `Server` pairs with
+//! the faults injected around them (`bap_fault`'s seams), so the crash
+//! point is exact and reproducible from the seed:
 //!
 //! * **Divergence** — a follower joins a primary that has already
 //!   re-anchored its bounded log (cold join = checkpoint + suffix),
 //!   catches up to the primary's exact tick and plan fingerprints, then a
-//!   single bit is flipped in one shipped session digest. The follower's
-//!   replay cross-check must report the divergence and refuse promotion
-//!   with the pinned `divergence` code.
+//!   `TamperRelay` on the link flips a single bit in one shipped session
+//!   digest. The follower's replay cross-check must report the divergence
+//!   and refuse promotion with the pinned `divergence` code.
 //! * **Failover** — client threads flood `call_with_retry` against a
-//!   `[primary, follower]` replica list; mid-flood the primary is killed
-//!   *after* shipping a batch but *before* answering it (the durability
-//!   window), the follower is promoted, and the flood finishes against
-//!   it. Verdicts: **zero acknowledged-decision loss** (no client call
+//!   `[primary, follower]` replica list; mid-flood the primary's
+//!   `CrashSink` tracer kills it *after* shipping a batch but *before*
+//!   answering it (the durability window), the follower is promoted, and
+//!   the flood finishes against it. Verdicts: **zero acknowledged-decision loss** (no client call
 //!   gives up, every retried id is answered exactly once), the surviving
 //!   answer stream is **byte-identical** to a serial ground-truth replay
 //!   of each client's id-ordered sequence on a fresh unreplicated
 //!   service, and **promotion latency** (primary confirmed dead → first
 //!   decision served by the successor) stays under the target.
 //! * **Fencing** — a follower is promoted while the old primary still
-//!   runs at the stale term; once the client has observed the new term,
-//!   any answer the deposed primary produces must be demoted to the
-//!   pinned `fenced` error before the caller sees it.
+//!   runs at the stale term; once the client has observed the new term
+//!   and the successor has shut down, the deposed primary's answer must
+//!   be demoted to the pinned `fenced` error before the caller sees it.
 //!
 //! Any violation writes `results/failover_failing_seed.txt` with the
 //! master seed and exits non-zero; the seed re-runs the identical load.
@@ -33,13 +34,15 @@
 //! `results/BENCH_failover.json`.
 
 use bap_bench::common::{results_dir, write_json, Args};
-use bap_core::{DecisionService, KillMode, ServeConfig, Server};
+use bap_core::{DecisionService, ReplItem, ServeConfig, Server};
+use bap_fault::{CrashSink, TamperRelay};
 use bap_trace::wire::{
     encode_response, RequestKind, ResponseKind, WireCurve, WireRequest, WireResponse,
 };
+use bap_trace::{EventKind, TraceEvent, Tracer};
 use bap_types::{ReplicationConfig, RetryConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -160,7 +163,6 @@ fn run_client(
     reqs: Vec<WireRequest>,
     fleet: bap_core::ServeClient,
     retry: RetryConfig,
-    progress: &AtomicUsize,
 ) -> ClientOut {
     let mut out = ClientOut {
         acked: Vec::new(),
@@ -176,9 +178,6 @@ fn run_client(
                     decision,
                     at: Instant::now(),
                 });
-                if decision {
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
             }
             Err(e) => out.gave_up.push(format!("id {id}: {e}")),
         }
@@ -215,6 +214,18 @@ fn call(conn: &bap_core::ServeClient, id: u64, kind: RequestKind) -> WireRespons
         .expect("replica answered")
 }
 
+/// Flip one bit in the first digest of a shipped entry; anchors and
+/// digest-less entries pass untouched.
+fn flip_first_digest(item: &mut ReplItem) -> bool {
+    match item {
+        ReplItem::Entry { entry, .. } if !entry.digests.is_empty() => {
+            entry.digests[0].fingerprint ^= 1;
+            true
+        }
+        _ => false,
+    }
+}
+
 /// Scenario 1: bounded-log catch-up, the digest cross-check, and the
 /// `divergence` promotion refusal. Returns (divergences seen, refusal
 /// observed, anchor tick after rollover, retained log entries).
@@ -224,6 +235,9 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
     let follower = Server::spawn(DecisionService::new(repl_cfg(true, LOG_CAPACITY)));
     let pconn = primary.client();
     let fconn = follower.client();
+    // The replication link runs through a relay that can flip one bit in
+    // a shipped digest.
+    let (link, flip) = TamperRelay::spawn(follower.repl_sink(), flip_first_digest);
 
     // Flood the primary past its log capacity BEFORE the follower joins,
     // so the join path must restore a re-anchored checkpoint, not replay
@@ -279,7 +293,7 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
     }
 
     // Cold join: checkpoint + suffix, then live shipping.
-    primary.replicate_to(&follower);
+    primary.attach(link);
     let ptick: u64 = {
         // One more decision lands after the join and must arrive live.
         let resp = call(
@@ -339,7 +353,7 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
 
     // Flip one bit in the next shipped digest. The primary's own log and
     // state stay clean — only the follower's cross-check sees the lie.
-    primary.chaos_flip_next_digest();
+    flip.arm();
     call(
         &pconn,
         next(),
@@ -381,7 +395,28 @@ struct FailoverOut {
 
 /// Scenario 2: the kill-9 flood.
 fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 64)));
+    // The primary crashes in the durability window: at the first shipment
+    // after it served a third of the flood's decisions — every follower
+    // acked that batch, no client has heard back.
+    let kill_after = sessions * rounds / 3;
+    let mut served = 0;
+    let crashing = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&crashing);
+    let crash = CrashSink::new(move |e: &TraceEvent| match &e.kind {
+        EventKind::RequestServed { kind, .. } if kind == "snapshot" => {
+            served += 1;
+            false
+        }
+        EventKind::ReplEntryShipped { .. } if served >= kill_after => {
+            flag.store(true, Ordering::SeqCst);
+            true
+        }
+        _ => false,
+    });
+    let primary = Server::spawn(DecisionService::new(ServeConfig {
+        tracer: Tracer::new(Box::new(crash)),
+        ..repl_cfg(false, 64)
+    }));
     let follower = Server::spawn(DecisionService::new(repl_cfg(true, 64)));
     primary.replicate_to(&follower);
 
@@ -393,34 +428,27 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
         jitter_frac: 0.3,
         seed,
     };
-    let progress = Arc::new(AtomicUsize::new(0));
-    let kill_after = sessions * rounds / 3;
 
     let out = thread::scope(|scope| {
         let handles: Vec<_> = (0..sessions)
             .map(|c| {
                 let reqs = client_requests(c, rounds, seed);
                 let fleet = fleet.clone();
-                let progress = Arc::clone(&progress);
-                scope.spawn(move || run_client(reqs, fleet, retry, &progress))
+                scope.spawn(move || run_client(reqs, fleet, retry))
             })
             .collect();
 
-        // Chaos controller: wait for a third of the flood to be
-        // acknowledged, then kill the primary in the durability window —
-        // after it ships the in-flight batch, before it answers it.
-        while progress.load(Ordering::Relaxed) < kill_after {
-            thread::sleep(Duration::from_millis(1));
-        }
-        primary.kill(KillMode::AfterShip);
-        let pprobe = primary.client();
+        // Failover controller: once the crash fires, probe the primary
+        // until its death is confirmed.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while pprobe
-            .call(WireRequest::new(900_000_000, RequestKind::Stats))
-            .is_ok()
+        let pprobe = primary.client();
+        while !crashing.load(Ordering::SeqCst)
+            || pprobe
+                .call(WireRequest::new(900_000_000, RequestKind::Stats))
+                .is_ok()
         {
             if Instant::now() > deadline {
-                fail(seed, "primary did not die within 30s of the kill");
+                fail(seed, "primary did not crash within 30s");
             }
             thread::sleep(Duration::from_millis(1));
         }
@@ -466,7 +494,8 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
         }
     });
 
-    primary.join();
+    // A crashed server is dropped, not joined.
+    drop(primary);
     let fconn = follower.client();
     call(&fconn, u64::MAX - 1, RequestKind::Shutdown);
     follower.join();
@@ -510,35 +539,19 @@ fn scenario_fencing(seed: u64) -> usize {
         other => fail(seed, &format!("stats on successor got {}", other.label())),
     }
 
-    // Kill the successor: the fleet client falls back to the deposed
-    // primary, whose stale-termed answers must be demoted to `fenced`.
-    follower.kill(KillMode::Now);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut fenced = 0usize;
-    let mut probe_id = 5u64;
-    while fenced == 0 {
-        if Instant::now() > deadline {
-            fail(
-                seed,
-                "deposed primary's answers were never demoted to `fenced`",
-            );
-        }
-        probe_id += 1;
-        match fleet.call(WireRequest::new(probe_id, RequestKind::Stats)) {
-            Ok(resp) => match resp.kind {
-                ResponseKind::Error { ref code, .. } if code == "fenced" => fenced += 1,
-                // Until the kill lands, the successor still answers at
-                // term 2; those are legitimate.
-                ResponseKind::Stats { .. } => thread::sleep(Duration::from_millis(1)),
-                other => fail(seed, &format!("fencing probe got {}", other.label())),
-            },
-            // Both targets momentarily unreachable mid-kill: sweep again.
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
+    // Shut the successor down: the fleet client falls back to the deposed
+    // primary, whose stale-termed answer must be demoted to `fenced`.
+    call(&fdirect, 5, RequestKind::Shutdown);
+    follower.join();
+    let fenced = match call(&fleet, 6, RequestKind::Stats).kind {
+        ResponseKind::Error { ref code, .. } if code == "fenced" => 1,
+        other => fail(
+            seed,
+            &format!("deposed primary answered {} unfenced", other.label()),
+        ),
+    };
     call(&pconn, u64::MAX - 2, RequestKind::Shutdown);
     primary.join();
-    follower.join();
     fenced
 }
 

@@ -6,9 +6,9 @@
 //! * detailed-simulation miss reductions (8/16 cores only — the sizes the
 //!   detailed model was validated at);
 //! * the wall-clock cost of one repartitioning decision on a clustered
-//!   ring floorplan, out to 256 cores, under four solver modes: serial
-//!   cold solve, sharded cold solve, warm-start (unchanged curves), and a
-//!   sharded solve with two banks dead.
+//!   ring floorplan, out to 256 cores, under three solver modes: sharded
+//!   cold solve, warm-start (unchanged curves), and a sharded solve with
+//!   two banks dead.
 //!
 //! `--cores 8,16,32` overrides the sweep; `--check` gates the 32-core
 //! sharded decision time against the committed baseline (2× headroom) and
@@ -17,10 +17,7 @@
 
 use bap_bench::common::{write_json, Args};
 use bap_bench::mixes::monte_carlo_mixes;
-use bap_core::{
-    try_bank_aware_partition, try_bank_aware_partition_serial, BankAwareConfig, IncrementalSolver,
-    Policy, SolveBudget,
-};
+use bap_core::{try_bank_aware_partition, BankAwareConfig, IncrementalSolver, Policy, SolveBudget};
 use bap_msa::{MissRatioCurve, ProfilerConfig};
 use bap_system::{profile_workloads, SimOptions, System};
 use bap_trace::Tracer;
@@ -49,16 +46,12 @@ struct ScaleRow {
     /// Detailed-sim miss ratios; only populated at the validated sizes.
     ba_relative_to_none: Option<f64>,
     ba_relative_to_equal: Option<f64>,
-    /// One cold decision, clusters solved one after another.
-    cold_serial_us: f64,
-    /// One cold decision, clusters solved in parallel shards.
+    /// One cold decision, one shard per cluster.
     cold_sharded_us: f64,
     /// One warm decision with unchanged curves (every shard reused).
     warm_us: f64,
     /// Sharded cold decision with two banks offline.
     degraded_decision_us: f64,
-    /// cold_serial / cold_sharded.
-    shard_speedup: f64,
     /// cold_sharded / warm.
     warm_speedup: f64,
 }
@@ -183,10 +176,6 @@ fn main() {
             (None, None)
         };
 
-        let cold_serial_us = time_us(iterations, || {
-            try_bank_aware_partition_serial(&curves, &machine, 8, &cfg, SolveBudget::unlimited())
-                .expect("serial solve feasible");
-        });
         let cold_sharded_us = time_us(iterations, || {
             try_bank_aware_partition(&curves, &machine, 8, &cfg).expect("sharded solve feasible");
         });
@@ -236,39 +225,27 @@ fn main() {
             degraded_bank_mask: mask.bits(),
             ba_relative_to_none: rel_none,
             ba_relative_to_equal: rel_equal,
-            cold_serial_us,
             cold_sharded_us,
             warm_us,
             degraded_decision_us,
-            shard_speedup: cold_serial_us / cold_sharded_us.max(1e-9),
             warm_speedup: cold_sharded_us / warm_us.max(1e-9),
         });
     }
 
     println!("Scalability: decision cost on clustered ring floorplans");
     println!(
-        "{:>6} {:>6} {:>5} {:>12} {:>13} {:>9} {:>13} {:>8} {:>7}",
-        "cores",
-        "banks",
-        "clust",
-        "serial (us)",
-        "sharded (us)",
-        "warm(us)",
-        "degraded(us)",
-        "shard x",
-        "warm x"
+        "{:>6} {:>6} {:>5} {:>13} {:>9} {:>13} {:>7}",
+        "cores", "banks", "clust", "sharded (us)", "warm(us)", "degraded(us)", "warm x"
     );
     for r in &rows {
         println!(
-            "{:>6} {:>6} {:>5} {:>12.1} {:>13.1} {:>9.2} {:>13.1} {:>8.2} {:>7.1}",
+            "{:>6} {:>6} {:>5} {:>13.1} {:>9.2} {:>13.1} {:>7.1}",
             r.cores,
             r.banks,
             r.clusters,
-            r.cold_serial_us,
             r.cold_sharded_us,
             r.warm_us,
             r.degraded_decision_us,
-            r.shard_speedup,
             r.warm_speedup
         );
     }

@@ -26,11 +26,11 @@
 //! On clustered floorplans ([`Topology::num_clusters`] > 1) the solve
 //! decomposes exactly: Rule 3 adjacency and Center-bank ownership never
 //! cross a cluster boundary, so each cluster is an independent sub-problem
-//! solved by the same Fig. 6 flow over its own cores and banks. Shards run
-//! in parallel (when tracing is off) and merge in ascending cluster order,
-//! making the epoch decision cost scale with the cluster size rather than
-//! the die size. Chain/Mesh floorplans are one cluster: the classic serial
-//! solve, bit-identical plan and trace.
+//! solved by the same Fig. 6 flow over its own cores and banks. Shards are
+//! solved one after another and merged in ascending cluster order, making
+//! the epoch decision cost scale with the cluster size rather than the die
+//! size. Chain/Mesh floorplans are one cluster: the classic serial solve,
+//! bit-identical plan and trace.
 //!
 //! # Degraded machines
 //!
@@ -296,14 +296,12 @@ pub fn try_bank_aware_partition_traced<C: Borrow<MissRatioCurve>>(
 /// Clustered floorplans confine Rule 3 adjacency and Center-bank ownership
 /// within clusters, so the machine-wide problem decomposes *exactly* into
 /// one independent sub-solve per cluster (each under its own 9/16 cap and
-/// step budget). Shards are solved in parallel when tracing is off and
-/// merged in ascending cluster order, so the resulting plan is identical
-/// to the serial cluster-by-cluster solve — determinism comes from the
-/// merge order, not the execution order. With tracing enabled the shards
-/// run serially in cluster order so the event stream is deterministic too.
-/// Chain/Mesh floorplans are a single cluster covering the whole die:
-/// there the sharded path *is* the classic serial solver, bit-identical
-/// plan and trace.
+/// step budget). Shards are solved one after another in ascending cluster
+/// order and merged in that order, so plan and event stream are
+/// deterministic; a shard solve is too small to pay for a parallel
+/// fan-out (DESIGN.md §13). Chain/Mesh floorplans are a single cluster
+/// covering the whole die: there the sharded path *is* the classic serial
+/// solver, bit-identical plan and trace.
 pub fn try_bank_aware_partition_budgeted<C: Borrow<MissRatioCurve>>(
     curves: &[C],
     machine: &DegradedTopology,
@@ -313,45 +311,13 @@ pub fn try_bank_aware_partition_budgeted<C: Borrow<MissRatioCurve>>(
     budget: SolveBudget,
 ) -> Result<PartitionPlan, PartitionError> {
     // Resolve the curve borrows once: the cluster shards then work on plain
-    // `&MissRatioCurve` slices, which keeps `solve_cluster` monomorphic and
-    // the parallel closure `Sync` without bounds on the public generic.
+    // `&MissRatioCurve` slices, which keeps `solve_cluster` monomorphic.
     let curve_refs: Vec<&MissRatioCurve> = curves.iter().map(Borrow::borrow).collect();
     validate_curve_inputs(&curve_refs, machine)?;
     let clusters = machine.topology().num_clusters();
     let ids: Vec<usize> = (0..clusters).collect();
     let solutions = solve_shards(&ids, &curve_refs, machine, bank_ways, cfg, tracer, budget)?;
     merge_shards(&solutions, machine, bank_ways, tracer)
-}
-
-/// [`try_bank_aware_partition_budgeted`] with shard parallelism forced
-/// *off*: clusters are solved one after another in ascending order even
-/// when tracing is disabled. Produces the identical plan — this entry
-/// point exists so benchmarks can measure what the parallel dispatch
-/// actually buys (and is the honest baseline for the scalability figure).
-pub fn try_bank_aware_partition_serial<C: Borrow<MissRatioCurve>>(
-    curves: &[C],
-    machine: &DegradedTopology,
-    bank_ways: usize,
-    cfg: &BankAwareConfig,
-    budget: SolveBudget,
-) -> Result<PartitionPlan, PartitionError> {
-    let curve_refs: Vec<&MissRatioCurve> = curves.iter().map(Borrow::borrow).collect();
-    validate_curve_inputs(&curve_refs, machine)?;
-    let tracer = Tracer::off();
-    let clusters = machine.topology().num_clusters();
-    let mut solutions = Vec::with_capacity(clusters);
-    for cl in 0..clusters {
-        solutions.extend(solve_shards(
-            &[cl],
-            &curve_refs,
-            machine,
-            bank_ways,
-            cfg,
-            &tracer,
-            budget,
-        )?);
-    }
-    merge_shards(&solutions, machine, bank_ways, &tracer)
 }
 
 /// The solve prologue: one curve per core, none of them empty.
@@ -374,12 +340,8 @@ pub(crate) fn validate_curve_inputs(
     Ok(())
 }
 
-/// Solve the given clusters, in parallel when more than one shard is
-/// requested and tracing is off (shard events would interleave
-/// non-deterministically), serially in the given order otherwise. The
-/// returned solutions follow the order of `ids`; on failure the error is
-/// the first-listed failing cluster's, whatever order the shards finished
-/// in.
+/// Solve the given clusters one after another, in the given order. On
+/// failure the error is the first-listed failing cluster's.
 pub(crate) fn solve_shards(
     ids: &[usize],
     curve_refs: &[&MissRatioCurve],
@@ -389,38 +351,9 @@ pub(crate) fn solve_shards(
     tracer: &Tracer,
     budget: SolveBudget,
 ) -> Result<Vec<ClusterSolution>, PartitionError> {
-    if ids.len() > 1 && !tracer.is_enabled() {
-        use rayon::prelude::*;
-        let results: Vec<Result<ClusterSolution, PartitionError>> = ids
-            .par_iter()
-            .map(|&cl| {
-                solve_cluster(
-                    cl,
-                    curve_refs,
-                    machine,
-                    bank_ways,
-                    cfg,
-                    &Tracer::off(),
-                    budget,
-                )
-            })
-            .collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for r in results {
-            // Ascending scan: a failed solve reports the lowest-indexed
-            // failing cluster, whatever order the shards finished in.
-            out.push(r?);
-        }
-        Ok(out)
-    } else {
-        let mut out = Vec::with_capacity(ids.len());
-        for &cl in ids {
-            out.push(solve_cluster(
-                cl, curve_refs, machine, bank_ways, cfg, tracer, budget,
-            )?);
-        }
-        Ok(out)
-    }
+    ids.iter()
+        .map(|&cl| solve_cluster(cl, curve_refs, machine, bank_ways, cfg, tracer, budget))
+        .collect()
 }
 
 /// Merge per-cluster solutions (ascending cluster order expected) into one
@@ -1713,20 +1646,20 @@ mod tests {
         }
 
         #[test]
-        fn parallel_shards_match_serial_traced_solve() {
-            // Parallel shards (tracer off) and the serial cluster-order
-            // solve (tracer on) must merge to the identical plan, and the
-            // merge events come in ascending cluster order.
+        fn untraced_and_traced_shard_solves_merge_identically() {
+            // The untraced and the traced solve must merge to the
+            // identical plan, and the merge events come in ascending
+            // cluster order.
             let machine = DegradedTopology::healthy(ring(64));
             let curves: Vec<_> = (0..64)
                 .map(|c| knee(2000.0 + 31.0 * c as f64, 5.0, 4 + c % 40))
                 .collect();
             let cfg = BankAwareConfig::default();
-            let parallel = try_bank_aware_partition(&curves, &machine, 8, &cfg).unwrap();
+            let untraced = try_bank_aware_partition(&curves, &machine, 8, &cfg).unwrap();
             let tracer = Tracer::ring();
-            let serial =
+            let traced =
                 try_bank_aware_partition_traced(&curves, &machine, 8, &cfg, &tracer).unwrap();
-            assert_eq!(parallel, serial);
+            assert_eq!(untraced, traced);
             let merges: Vec<usize> = tracer
                 .drain_events()
                 .iter()

@@ -19,8 +19,9 @@
 //! * [`replication`] — primary/follower log shipping over the service's
 //!   determinism contract: bounded checkpoint-anchored logs, divergence
 //!   detection, and fenced failover;
-//! * [`net`] — the TCP front end shared by `bap serve --listen` and the
-//!   replication stream, with per-connection panic isolation.
+//! * [`net`] — the transports of `bap serve`: the stdio loop, and the TCP
+//!   front end shared by `--listen` and the replication stream, with
+//!   per-connection panic isolation.
 
 pub mod bank_aware;
 pub mod controller;
@@ -34,8 +35,8 @@ pub mod unrestricted;
 
 pub use bank_aware::{
     bank_aware_partition, try_bank_aware_partition, try_bank_aware_partition_budgeted,
-    try_bank_aware_partition_serial, try_bank_aware_partition_traced, validate_bank_rules,
-    validate_bank_rules_masked, BankAwareConfig, PartitionError, SolveBudget,
+    try_bank_aware_partition_traced, validate_bank_rules, validate_bank_rules_masked,
+    BankAwareConfig, PartitionError, SolveBudget,
 };
 pub use controller::{Controller, PlanSource, Policy};
 pub use incremental::{IncrementalSolver, IncrementalStats};
@@ -43,7 +44,7 @@ pub use projection::{projected_misses, projected_plan_misses, projected_total_mi
 pub use qos::{admit_cores, build_qos_plan, core_bound, AdmissionOutcome, QosState};
 pub use replication::{ReplItem, ReplicationLog, Role};
 pub use serve::{
-    BatchContext, BrownoutLevel, ClientError, DecisionService, KillMode, OverloadGovernor,
-    ServeClient, ServeConfig, Server,
+    BatchContext, BrownoutLevel, ClientError, DecisionService, OverloadGovernor, ServeClient,
+    ServeConfig, Server,
 };
 pub use unrestricted::{unrestricted_partition, unrestricted_partition_traced};

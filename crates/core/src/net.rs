@@ -1,8 +1,12 @@
-//! The TCP front end of `bap serve`: one connection per client thread,
-//! all feeding the shared batched [`Server`], plus the socket transport
-//! of the replication protocol.
+//! The transports of `bap serve`: the stdio loop, and the TCP front end
+//! (one connection per client thread, all feeding the shared batched
+//! [`Server`]) with the socket transport of the replication protocol.
 //!
-//! Two properties this module owns:
+//! Both transports run the same tick step (`serve::run_tick`), and
+//! answer parse errors and `Profile` requests in one envelope (tick 0,
+//! no term).
+//!
+//! Two properties the TCP front end owns:
 //!
 //! * **Panic isolation** — a panic anywhere in a connection handler
 //!   (a poisoned parser, a panicking `Profile` resolver) kills that one
@@ -20,20 +24,20 @@
 //!   the primary's stream dies.
 
 use crate::replication::ReplItem;
-use crate::serve::{DecisionService, Server};
+use crate::serve::{run_tick, DecisionService, ServeClient, Server};
 use bap_trace::wire::{
     encode_request, encode_response, from_hex, parse_request_line, parse_response_line, to_hex,
     RequestKind, ResponseKind, WireError, WireRequest, WireResponse,
 };
 use bap_trace::{EventKind, Tracer};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How a front end resolves `Profile` requests (they need the workload
 /// catalog, which lives above `bap-core`). The service's TCP tests pass
@@ -46,6 +50,106 @@ pub fn no_profile(_workloads: &[String], _instructions: u64, _seed: u64) -> Resp
         "unsupported",
         "profile requests need the workload catalog; use the bap front end",
     )
+}
+
+/// One input line, as a front end sees it.
+enum Inbound {
+    /// A blank line: the stdio batch delimiter (ignored on TCP).
+    Blank,
+    /// A request for the service.
+    Request(WireRequest),
+    /// A line the front end answers itself: a parse error, or a
+    /// `Profile` request resolved against the workload catalog.
+    Answered(WireResponse),
+}
+
+/// Classify one line (newline already stripped). Front-end answers share
+/// one envelope on every transport — tick 0, no term — because neither
+/// case reaches the service.
+fn inbound(line: &str, profile: &ProfileFn) -> Inbound {
+    match parse_request_line(line) {
+        Err(WireError::EmptyLine) => Inbound::Blank,
+        Err(err) => Inbound::Answered(err.to_response()),
+        Ok(WireRequest {
+            id,
+            kind:
+                RequestKind::Profile {
+                    workloads,
+                    instructions,
+                    seed,
+                },
+            ..
+        }) => Inbound::Answered(WireResponse {
+            id,
+            tick: 0,
+            term: None,
+            kind: profile(&workloads, instructions, seed),
+        }),
+        Ok(req) => Inbound::Request(req),
+    }
+}
+
+/// Serve the JSONL protocol over a line stream — `bap serve`'s stdio
+/// transport. One request per line; a blank line (or EOF) flushes the
+/// pending requests as one epoch tick, answered in request order with
+/// one flush (with overload regulation on, sheds keep their slot). Parse
+/// errors and `Profile` requests are answered at once, and a served
+/// `Shutdown` ends the loop after its tick. Runs synchronously on the
+/// caller's thread: no worker, no channel. Returns the service when the
+/// input ends or shuts down.
+pub fn serve_stdio(
+    mut service: DecisionService,
+    input: impl BufRead,
+    mut output: impl Write,
+    profile: &ProfileFn,
+) -> io::Result<DecisionService> {
+    let mut governor = service.governor();
+    let mut lines = input.lines();
+    // The reply token is the request's output slot.
+    let mut sweep: Vec<(WireRequest, Instant, usize)> = Vec::new();
+    loop {
+        let eof = match lines.next().transpose()? {
+            None => true,
+            Some(line) => match inbound(&line, profile) {
+                Inbound::Blank => false,
+                Inbound::Request(req) => {
+                    sweep.push((req, Instant::now(), sweep.len()));
+                    continue;
+                }
+                Inbound::Answered(resp) => {
+                    writeln!(output, "{}", encode_response(&resp))?;
+                    output.flush()?;
+                    continue;
+                }
+            },
+        };
+        let stop = eof
+            || sweep
+                .iter()
+                .any(|(req, ..)| matches!(req.kind, RequestKind::Shutdown));
+        if !sweep.is_empty() {
+            let mut answers: Vec<Option<WireResponse>> = vec![None; sweep.len()];
+            // No follower can subscribe without a listener: the tick's
+            // log entry has nowhere to ship.
+            let tick = run_tick(
+                &mut service,
+                governor.as_mut(),
+                std::mem::take(&mut sweep),
+                Instant::now(),
+                |slot, resp| answers[slot] = Some(resp),
+            );
+            for (slot, resp) in tick.answers {
+                answers[slot] = Some(resp);
+            }
+            for resp in answers.into_iter().flatten() {
+                writeln!(output, "{}", encode_response(&resp))?;
+            }
+            output.flush()?;
+        }
+        if stop {
+            return Ok(service);
+        }
+    }
 }
 
 /// Serve the JSONL protocol on `listener` until a `Shutdown` is served
@@ -91,7 +195,7 @@ pub fn serve_tcp(
             // the operator's signal that a peer (or a handler bug) blew
             // a connection up.
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                handle_connection(stream, client, &profile, &stop, local);
+                handle_connection(stream, client, profile.as_ref(), &stop, local);
             }));
             if let Err(payload) = caught {
                 let what = payload
@@ -112,8 +216,8 @@ pub fn serve_tcp(
 /// switched into (and finished) replication streaming.
 fn handle_connection(
     stream: TcpStream,
-    client: crate::serve::ServeClient,
-    profile: &Arc<ProfileFn>,
+    client: ServeClient,
+    profile: &ProfileFn,
     stop: &AtomicBool,
     local: SocketAddr,
 ) {
@@ -127,34 +231,19 @@ fn handle_connection(
             Ok(_) => {}
             Err(_) => break,
         }
-        let resp = match parse_request_line(line.trim_end_matches(['\r', '\n'])) {
-            Ok(req) => {
-                if let RequestKind::Profile {
-                    workloads,
-                    instructions,
-                    seed,
-                } = &req.kind
-                {
-                    WireResponse {
-                        id: req.id,
-                        tick: 0,
-                        term: None,
-                        kind: profile(workloads, *instructions, *seed),
-                    }
-                } else if let RequestKind::ReplSubscribe { .. } = &req.kind {
-                    // This connection is now a replication stream; it
-                    // never goes back to request/response.
-                    stream_log(&client, req.id, &mut reader, &mut writer);
-                    break;
-                } else {
-                    match client.call(req) {
-                        Ok(resp) => resp,
-                        Err(_) => break, // worker gone; connection done
-                    }
-                }
+        let resp = match inbound(line.trim_end_matches(['\r', '\n']), profile) {
+            Inbound::Blank => continue,
+            Inbound::Answered(resp) => resp,
+            Inbound::Request(req) if matches!(req.kind, RequestKind::ReplSubscribe { .. }) => {
+                // This connection is now a replication stream; it never
+                // goes back to request/response.
+                stream_log(&client, req.id, &mut reader, &mut writer);
+                break;
             }
-            Err(WireError::EmptyLine) => continue,
-            Err(err) => err.to_response(),
+            Inbound::Request(req) => match client.call(req) {
+                Ok(resp) => resp,
+                Err(_) => break, // worker gone; connection done
+            },
         };
         let bye = matches!(resp.kind, ResponseKind::Bye { .. });
         if writeln!(writer, "{}", encode_response(&resp)).is_err() || writer.flush().is_err() {
@@ -176,7 +265,7 @@ fn handle_connection(
 /// shipper's timeout then drops this follower, which is the protocol's
 /// one failure mode.
 fn stream_log(
-    client: &crate::serve::ServeClient,
+    client: &ServeClient,
     subscribe_id: u64,
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
@@ -330,7 +419,7 @@ mod tests {
     use crate::serve::ServeConfig;
     use bap_trace::{NoopSink, Tracer};
 
-    fn spawn_server(chaos_profile: bool) -> (SocketAddr, thread::JoinHandle<DecisionService>) {
+    fn spawn_server(panicking_profile: bool) -> (SocketAddr, thread::JoinHandle<DecisionService>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let cfg = ServeConfig {
@@ -338,7 +427,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let service = DecisionService::new(cfg);
-        let profile: Arc<ProfileFn> = if chaos_profile {
+        let profile: Arc<ProfileFn> = if panicking_profile {
             Arc::new(|_: &[String], _, _| panic!("injected profile panic"))
         } else {
             Arc::new(no_profile)

@@ -23,11 +23,17 @@
 //! [`FaultCounters`] is the shared ledger: every injection *and* every rung
 //! of the degradation ladder taken in response increments a counter, so a
 //! run's fault story is observable from its results.
+//!
+//! [`seams`] carries the serving layer's faults — a crash at an exact
+//! trace event ([`CrashSink`]) and a corrupted shipped item
+//! ([`TamperRelay`]) — injected around a running service, not inside it.
 
 pub mod config;
 pub mod counters;
 pub mod injector;
+pub mod seams;
 
 pub use config::FaultConfig;
 pub use counters::{CoreDegradeLedger, FaultCounters};
 pub use injector::{BankEvent, BankEventKind, FaultInjector};
+pub use seams::{CrashSink, TamperRelay};

@@ -27,20 +27,25 @@
 //!     --tick-budget-ms N              wall-clock budget per tick (0 = unlimited)
 //!     --brownout-enter N              over-budget ticks before browning out
 //!     --brownout-exit N               calm ticks before stepping back up
-//!     --replication on|off            run as a replicating primary: stamp the
-//!                                     fencing term on every response, log and
-//!                                     ship every committed batch to followers
+//!     --replication on|off            run as a replicating primary (requires
+//!                                     --listen): stamp the fencing term on
+//!                                     every response, log and ship every
+//!                                     committed batch to followers
 //!     --replica-of ADDR               run as a follower of the primary at ADDR
 //!                                     (requires --listen): replay its log,
 //!                                     refuse writes with `not-primary`
 //!     --promote-on-loss on|off        follower only: promote to primary when
 //!                                     the primary's stream dies (default off)
 //! ```
+//!
+//! `bap serve` only parses flags here: both transports — the stdio loop
+//! (`net::serve_stdio`) and the TCP front end (`net::serve_tcp`) — live in
+//! `bap-core` and run its one tick step. The binary contributes the
+//! `Profile` resolver, which needs the workload catalog.
 
 use bankaware::msa::ProfilerConfig;
 use bankaware::partitioning::{
-    bank_aware_partition, net, BankAwareConfig, DecisionService, OverloadGovernor, Policy,
-    ServeConfig,
+    bank_aware_partition, net, BankAwareConfig, DecisionService, Policy, ServeConfig,
 };
 use bankaware::system::sim::OpStream;
 use bankaware::system::{profile_workloads, SimOptions, System};
@@ -49,6 +54,7 @@ use bankaware::types::{CoreId, OverloadConfig, ReplicationConfig, SystemConfig, 
 use bankaware::workloads::trace::{replay, LoopedTrace};
 use bankaware::workloads::{spec_by_name, workload_names, WorkloadSpec};
 use std::process::exit;
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
@@ -105,6 +111,26 @@ fn parse(args: &[String]) -> (Vec<String>, Flags) {
         i += 1;
     }
     (positional, Flags(flags))
+}
+
+/// The detailed-simulation options of `simulate` and `replay`: policy,
+/// geometry, instruction budget (half of it warm-up and one epoch), seed.
+fn sim_flags(flags: &Flags, default_instructions: u64) -> SimOptions {
+    let policy = match flags.get("policy").unwrap_or("bank-aware") {
+        "none" => Policy::NoPartition,
+        "equal" => Policy::Equal,
+        "bank-aware" => Policy::BankAware,
+        other => {
+            eprintln!("unknown policy {other:?}");
+            exit(2)
+        }
+    };
+    let mut opts = SimOptions::new(SystemConfig::scaled(flags.u64("scale", 8)), policy);
+    opts.measure_instructions = flags.u64("instructions", default_instructions);
+    opts.warmup_instructions = opts.measure_instructions / 2;
+    opts.config.epoch_cycles = opts.measure_instructions / 2;
+    opts.seed = flags.u64("seed", 42);
+    opts
 }
 
 fn resolve_mix(names: &[String]) -> Vec<WorkloadSpec> {
@@ -211,20 +237,8 @@ fn cmd_partition(names: &[String], flags: &Flags) {
 
 fn cmd_simulate(names: &[String], flags: &Flags) {
     let specs = resolve_mix(names);
-    let policy = match flags.get("policy").unwrap_or("bank-aware") {
-        "none" => Policy::NoPartition,
-        "equal" => Policy::Equal,
-        "bank-aware" => Policy::BankAware,
-        other => {
-            eprintln!("unknown policy {other:?}");
-            exit(2)
-        }
-    };
-    let mut opts = SimOptions::new(SystemConfig::scaled(flags.u64("scale", 8)), policy);
-    opts.measure_instructions = flags.u64("instructions", 2_000_000);
-    opts.warmup_instructions = opts.measure_instructions / 2;
-    opts.config.epoch_cycles = opts.measure_instructions / 2;
-    opts.seed = flags.u64("seed", 42);
+    let opts = sim_flags(flags, 2_000_000);
+    let policy = opts.policy;
     let result = System::new(opts, specs).run();
 
     println!("policy: {policy:?}");
@@ -329,21 +343,7 @@ fn cmd_replay(names: &[String], flags: &Flags) {
             Box::new(LoopedTrace::new(ops)) as OpStream
         })
         .collect();
-    let policy = match flags.get("policy").unwrap_or("bank-aware") {
-        "none" => Policy::NoPartition,
-        "equal" => Policy::Equal,
-        "bank-aware" => Policy::BankAware,
-        other => {
-            eprintln!("unknown policy {other:?}");
-            exit(2)
-        }
-    };
-    let mut opts = SimOptions::new(SystemConfig::scaled(flags.u64("scale", 8)), policy);
-    opts.measure_instructions = flags.u64("instructions", 1_000_000);
-    opts.warmup_instructions = opts.measure_instructions / 2;
-    opts.config.epoch_cycles = opts.measure_instructions / 2;
-    opts.seed = flags.u64("seed", 42);
-    let result = System::with_streams(opts, streams).run();
+    let result = System::with_streams(sim_flags(flags, 1_000_000), streams).run();
     println!(
         "replayed: {} misses, miss ratio {:.3}, mean CPI {:.2}",
         result.total_l2_misses(),
@@ -353,8 +353,9 @@ fn cmd_replay(names: &[String], flags: &Flags) {
 }
 
 /// Resolve a `Profile` request against the workload catalog — the one
-/// request kind the in-process service can't serve, because the catalog
-/// and the profiling pipeline live in `bap-system`/`bap-workloads`.
+/// request kind the service can't serve, because the catalog and the
+/// profiling pipeline live in `bap-system`/`bap-workloads`. Both
+/// transports of `bap serve` answer it through this resolver.
 fn serve_profile(
     workloads: &[String],
     instructions: u64,
@@ -388,148 +389,6 @@ fn serve_profile(
             })
             .collect(),
     }
-}
-
-/// Serve the JSONL protocol over stdin/stdout: one request per line, a
-/// blank line (or EOF) flushes the pending batch as one epoch tick, one
-/// response per line in request order. Malformed lines get a typed error
-/// response (id 0) immediately and never kill the server. With overload
-/// regulation on, every flush is gated by the service's governor: shed
-/// requests answer `overloaded`/`deadline-exceeded` in place, the
-/// survivors form the tick.
-fn serve_stdio(mut service: DecisionService, scale: u64) {
-    use std::io::{BufRead, Write};
-    use std::time::Instant;
-    let mut governor = service.governor();
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut batch: Vec<(wire::WireRequest, Instant)> = Vec::new();
-    let respond = |out: &mut dyn Write, resp: &wire::WireResponse| {
-        writeln!(out, "{}", wire::encode_response(resp)).expect("stdout writable");
-    };
-    let flush = |service: &mut DecisionService,
-                 governor: &mut Option<OverloadGovernor>,
-                 batch: &mut Vec<(wire::WireRequest, Instant)>,
-                 out: &mut std::io::BufWriter<std::io::StdoutLock>|
-     -> bool {
-        if batch.is_empty() {
-            return false;
-        }
-        let pending = std::mem::take(batch);
-        let stop = pending
-            .iter()
-            .any(|(r, _)| matches!(r.kind, wire::RequestKind::Shutdown));
-        let now = Instant::now();
-        let verdicts = match governor.as_mut() {
-            Some(g) => {
-                let refs: Vec<(&wire::WireRequest, Instant)> =
-                    pending.iter().map(|(r, t)| (r, *t)).collect();
-                g.gate(now, &refs)
-            }
-            None => vec![None; pending.len()],
-        };
-        // Responses go out in request order: sheds answer in place, the
-        // admitted rest come back from the tick.
-        let mut responses: Vec<Option<wire::WireResponse>> =
-            (0..pending.len()).map(|_| None).collect();
-        let mut admitted = Vec::new();
-        let mut slots = Vec::new();
-        for (i, ((req, _), verdict)) in pending.into_iter().zip(verdicts).enumerate() {
-            match verdict {
-                Some(kind) => {
-                    responses[i] = Some(wire::WireResponse {
-                        id: req.id,
-                        tick: 0,
-                        term: service.term(),
-                        kind,
-                    })
-                }
-                None => {
-                    slots.push(i);
-                    admitted.push(req);
-                }
-            }
-        }
-        if !admitted.is_empty() {
-            let ctx = governor
-                .as_ref()
-                .map(|g| g.context(now))
-                .unwrap_or_default();
-            let start = Instant::now();
-            let served = service.process_batch_with(&admitted, &ctx);
-            if let Some(g) = governor.as_mut() {
-                g.tick_done(start.elapsed(), admitted.len());
-            }
-            for (slot, resp) in slots.into_iter().zip(served) {
-                responses[slot] = Some(resp);
-            }
-        }
-        for resp in responses.into_iter().flatten() {
-            respond(out, &resp);
-        }
-        out.flush().expect("stdout flushable");
-        stop
-    };
-    for line in stdin.lock().lines() {
-        let line = line.unwrap_or_else(|e| {
-            eprintln!("stdin read failed: {e}");
-            exit(1)
-        });
-        match wire::parse_request_line(&line) {
-            Ok(req) => {
-                // Profile requests are front-end work (workload catalog);
-                // answer them inline, outside the batch.
-                if let wire::RequestKind::Profile {
-                    workloads,
-                    instructions,
-                    seed,
-                } = &req.kind
-                {
-                    let kind = serve_profile(workloads, *instructions, *seed, scale);
-                    let resp = wire::WireResponse {
-                        id: req.id,
-                        tick: service.ticks(),
-                        term: service.term(),
-                        kind,
-                    };
-                    respond(&mut out, &resp);
-                    out.flush().expect("stdout flushable");
-                } else {
-                    batch.push((req, Instant::now()));
-                }
-            }
-            Err(wire::WireError::EmptyLine) => {
-                if flush(&mut service, &mut governor, &mut batch, &mut out) {
-                    return;
-                }
-            }
-            Err(err) => {
-                respond(&mut out, &err.to_response());
-                out.flush().expect("stdout flushable");
-            }
-        }
-    }
-    flush(&mut service, &mut governor, &mut batch, &mut out);
-}
-
-/// Serve the JSONL protocol over TCP through the shared
-/// [`net::serve_tcp`] front end (per-connection panic isolation, the
-/// replication bridge): one connection per client thread, all feeding
-/// the batched server. A served `Shutdown` stops the accept loop and
-/// joins the worker.
-fn serve_tcp(service: DecisionService, addr: &str, scale: u64, replica_of: Option<(String, bool)>) {
-    let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
-        eprintln!("cannot listen on {addr}: {e}");
-        exit(1)
-    });
-    let local = listener.local_addr().expect("bound socket has an address");
-    eprintln!("bap serve listening on {local}");
-    let profile: std::sync::Arc<net::ProfileFn> =
-        std::sync::Arc::new(move |workloads: &[String], instructions: u64, seed: u64| {
-            serve_profile(workloads, instructions, seed, scale)
-        });
-    net::serve_tcp(service, listener, profile, replica_of);
 }
 
 /// The overload regulation requested on the command line: `--overload on`
@@ -604,12 +463,24 @@ fn replication_flags(flags: &Flags) -> (Option<ReplicationConfig>, Option<(Strin
 }
 
 fn cmd_serve(flags: &Flags) {
+    let listen = flags.get("listen");
     let mut cfg = ServeConfig::default();
     if let Some(path) = flags.get("checkpoint") {
         cfg.checkpoint_path = Some(std::path::PathBuf::from(path));
     }
     cfg.overload = overload_flags(flags);
     let (replication, replica_of) = replication_flags(flags);
+    if replication.is_some() && listen.is_none() {
+        // A stdio primary has no listener for a follower to subscribe
+        // on, and a follower serves its clients over TCP.
+        let flag = if replica_of.is_some() {
+            "--replica-of"
+        } else {
+            "--replication on"
+        };
+        eprintln!("{flag} needs --listen: replicas ship and serve over TCP");
+        exit(2);
+    }
     cfg.replication = replication;
     let mut service = DecisionService::new(cfg);
     if let Some(path) = flags.get("checkpoint") {
@@ -629,14 +500,26 @@ fn cmd_serve(flags: &Flags) {
         }
     }
     let scale = flags.u64("scale", 8);
-    match flags.get("listen") {
-        Some(addr) => serve_tcp(service, addr, scale, replica_of),
+    let profile: Arc<net::ProfileFn> =
+        Arc::new(move |workloads: &[String], instructions: u64, seed: u64| {
+            serve_profile(workloads, instructions, seed, scale)
+        });
+    match listen {
+        Some(addr) => {
+            let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
+                eprintln!("cannot listen on {addr}: {e}");
+                exit(1)
+            });
+            let local = listener.local_addr().expect("bound socket has an address");
+            eprintln!("bap serve listening on {local}");
+            net::serve_tcp(service, listener, profile, replica_of);
+        }
         None => {
-            if replica_of.is_some() {
-                eprintln!("--replica-of needs --listen: a follower serves its clients over TCP");
-                exit(2);
+            let output = std::io::BufWriter::new(std::io::stdout().lock());
+            if let Err(e) = net::serve_stdio(service, std::io::stdin().lock(), output, &*profile) {
+                eprintln!("stdio transport failed: {e}");
+                exit(1)
             }
-            serve_stdio(service, scale)
         }
     }
 }

@@ -10,14 +10,13 @@
 //!   down one step at a time, calm ticks walk it back up only after the
 //!   longer exit streak (hysteresis), and under `LastGood` the service
 //!   answers decisions from the installed plan without solving;
-//! * **panic isolation** — a panic inside one session's decision work
-//!   quarantines that session behind the stable `internal` code while
-//!   every other session (and the service itself) keeps serving; a fresh
-//!   `Open` recovers the id;
 //! * **neutrality** — with `ServeConfig::overload` unset nothing above
 //!   runs: the default-context batch path answers byte-identically to the
-//!   plain one.
+//!   plain one;
+//! * **sheds first** — the threaded server answers a shed before the
+//!   tick that shed it has solved anything.
 
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use bankaware::partitioning::{
@@ -25,7 +24,7 @@ use bankaware::partitioning::{
     Server,
 };
 use bankaware::trace::wire::{RequestKind, ResponseKind, WireCurve, WireRequest};
-use bankaware::trace::Tracer;
+use bankaware::trace::{EventKind, TraceEvent, TraceSink, Tracer};
 use bankaware::types::{OverloadConfig, RetryConfig};
 
 /// Knee-shaped miss-ratio curves: deterministic in (cores, seed).
@@ -303,81 +302,6 @@ fn lastgood_ticks_answer_from_the_installed_plan_without_solving() {
 }
 
 // ---------------------------------------------------------------------------
-// Panic isolation and quarantine.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn a_session_panic_quarantines_it_and_reopen_recovers() {
-    let cfg = ServeConfig {
-        chaos_panic_session: Some(2),
-        ..ServeConfig::default()
-    };
-    let mut svc = DecisionService::new(cfg);
-    svc.process_batch(&[
-        req(
-            1,
-            RequestKind::Open {
-                session: 1,
-                cores: 8,
-            },
-        ),
-        req(
-            2,
-            RequestKind::Open {
-                session: 2,
-                cores: 8,
-            },
-        ),
-    ]);
-
-    // The batch that trips the chaos panic: session 2 dies mid-solve,
-    // session 1 must be untouched.
-    let out = svc.process_batch(&[snapshot(10, 1, 5), snapshot(11, 2, 5)]);
-    assert!(
-        matches!(out[0].kind, ResponseKind::Decision { .. }),
-        "the healthy session's decision survives the sibling panic"
-    );
-    assert_eq!(
-        code_of(&out[1].kind),
-        Some("internal"),
-        "the panicking session answers the stable internal code"
-    );
-    assert_eq!(svc.num_quarantined(), 1);
-
-    // Quarantine is sticky across batches and request kinds.
-    let out = svc.process_batch(&[
-        snapshot(12, 2, 6),
-        req(13, RequestKind::Plan { session: 2 }),
-    ]);
-    assert_eq!(code_of(&out[0].kind), Some("internal"));
-    assert_eq!(code_of(&out[1].kind), Some("internal"));
-
-    // A fresh Open clears it; the chaos knob fired once, so the rebuilt
-    // session serves normally.
-    let out = svc.process_batch(&[
-        req(
-            20,
-            RequestKind::Open {
-                session: 2,
-                cores: 8,
-            },
-        ),
-        snapshot(21, 2, 7),
-    ]);
-    assert!(matches!(out[0].kind, ResponseKind::Opened { .. }));
-    assert!(
-        matches!(out[1].kind, ResponseKind::Decision { .. }),
-        "re-opened session serves again, got {:?}",
-        out[1].kind
-    );
-    assert_eq!(svc.num_quarantined(), 0);
-
-    // And the service as a whole never stopped: session 1 still works.
-    let out = svc.process_batch(&[snapshot(30, 1, 8)]);
-    assert!(matches!(out[0].kind, ResponseKind::Decision { .. }));
-}
-
-// ---------------------------------------------------------------------------
 // Neutrality and the regulated threaded server.
 // ---------------------------------------------------------------------------
 
@@ -454,4 +378,79 @@ fn a_regulated_server_with_headroom_serves_normally() {
         ClientError::Disconnected,
         "a dead server is a typed disconnect, not a silent None"
     );
+}
+
+/// A trace sink that parks the emitting worker at the end of every batch
+/// (`BatchDispatched`) until the test releases it, so the test can look
+/// at the reply channels while a tick is provably still in progress.
+struct ParkAtBatchEnd {
+    parked: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+}
+
+impl TraceSink for ParkAtBatchEnd {
+    fn record(&mut self, event: &TraceEvent) {
+        if matches!(event.kind, EventKind::BatchDispatched { .. }) {
+            let _ = self.parked.send(());
+            let _ = self.release.recv();
+        }
+    }
+}
+
+#[test]
+fn a_threaded_shed_is_answered_before_its_tick_solves() {
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let cfg = ServeConfig {
+        overload: Some(OverloadConfig {
+            max_queue_depth: 1,
+            ..OverloadConfig::default()
+        }),
+        tracer: Tracer::new(Box::new(ParkAtBatchEnd {
+            parked: parked_tx,
+            release: release_rx,
+        })),
+        ..ServeConfig::default()
+    };
+    let server = Server::spawn(DecisionService::new(cfg));
+    let client = server.client();
+
+    // Park the worker inside a first tick, so the next two requests queue
+    // up and form one sweep.
+    let first = client.submit(req(1, RequestKind::Stats)).unwrap();
+    parked.recv().unwrap();
+    let admitted = client
+        .submit(req(
+            2,
+            RequestKind::Open {
+                session: 1,
+                cores: 8,
+            },
+        ))
+        .unwrap();
+    let shed = client.submit(req(3, RequestKind::Stats)).unwrap();
+    release.send(()).unwrap();
+    first.recv().unwrap();
+
+    // The second tick admits the Open and sheds the Stats (queue cap 1).
+    // While that tick is still parked inside its batch, the shed is
+    // already answered and the admitted request is not.
+    parked.recv().unwrap();
+    let answer = shed
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the shed is answered while its tick is still parked");
+    assert_eq!(code_of(&answer.kind), Some("overloaded"));
+    assert!(
+        admitted.try_recv().is_err(),
+        "the admitted request was answered before its tick finished"
+    );
+    release.send(()).unwrap();
+    assert!(matches!(
+        admitted.recv().unwrap().kind,
+        ResponseKind::Opened { .. }
+    ));
+
+    release.send(()).unwrap(); // lets the Shutdown tick through
+    client.call(req(4, RequestKind::Shutdown)).unwrap();
+    server.join();
 }

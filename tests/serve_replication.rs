@@ -19,11 +19,19 @@
 //! * a primary killed in the durability window (shipped, unanswered)
 //!   loses nothing: the promoted follower answers the retried id from
 //!   its dedup cache, exactly once.
+//!
+//! Faults are injected around the servers, never inside their loop: a
+//! `bap_fault::TamperRelay` between the primary and the follower's sink
+//! corrupts a shipped digest, a `bap_fault::CrashSink` tracer crashes the
+//! primary at an exact trace event, and "this replica is gone" is a
+//! served `Shutdown` plus `join`.
 
-use bankaware::partitioning::{DecisionService, KillMode, ServeConfig, Server};
+use bankaware::fault::{CrashSink, TamperRelay};
+use bankaware::partitioning::{DecisionService, ReplItem, ServeConfig, Server};
 use bankaware::trace::wire::{
     encode_response, RequestKind, ResponseKind, WireCurve, WireRequest, WireResponse,
 };
+use bankaware::trace::{EventKind, TraceEvent, Tracer};
 use bankaware::types::{ReplicationConfig, RetryConfig};
 
 // ---------------------------------------------------------------------------
@@ -348,15 +356,11 @@ fn promotion_bumps_the_term_and_deposed_answers_are_fenced() {
     let fleet = Server::client_of(&[&follower, &primary]);
     let fresh = fleet.call(req(20, RequestKind::Stats)).unwrap();
     assert_eq!(fresh.term, Some(2), "cursor starts on the successor");
-    follower.kill(KillMode::Now);
-    let stale = loop {
-        // Until the kill lands the successor may still answer at term 2.
-        match fleet.call(req(21, RequestKind::Stats)) {
-            Ok(resp) if resp.term == Some(2) => continue,
-            Ok(resp) => break resp,
-            Err(_) => continue,
-        }
-    };
+    // The successor goes away; the fleet falls back to the deposed
+    // primary, whose term-1 answer must come back fenced.
+    fconn.call(req(12, RequestKind::Shutdown)).unwrap();
+    follower.join();
+    let stale = fleet.call(req(21, RequestKind::Stats)).unwrap();
     match &stale.kind {
         ResponseKind::Error { code, detail, .. } => {
             assert_eq!(code, "fenced");
@@ -370,17 +374,32 @@ fn promotion_bumps_the_term_and_deposed_answers_are_fenced() {
 
     pconn.call(req(3, RequestKind::Shutdown)).unwrap();
     primary.join();
-    follower.join();
+}
+
+/// Flip one bit in the first digest of a shipped entry; anchors and
+/// digest-less entries pass untouched.
+fn flip_first_digest(item: &mut ReplItem) -> bool {
+    match item {
+        ReplItem::Entry { entry, .. } if !entry.digests.is_empty() => {
+            entry.digests[0].fingerprint ^= 1;
+            true
+        }
+        _ => false,
+    }
 }
 
 #[test]
 fn diverged_follower_refuses_promotion() {
-    let (primary, follower) = spawn_pair(16);
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 16)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 16)));
+    let (sink, flip) = TamperRelay::spawn(follower.repl_sink(), flip_first_digest);
+    primary.attach(sink);
     let (pconn, fconn) = (primary.client(), follower.client());
     open(&pconn, 1, 1);
     snapshot(&pconn, 2, 1, 5);
 
-    primary.chaos_flip_next_digest();
+    // Only the shipped copy lies: the primary's own log stays clean.
+    flip.arm();
     snapshot(&pconn, 3, 1, 6);
 
     let (_, _, _, divergences) = repl_status(&fconn, 10);
@@ -406,17 +425,32 @@ fn diverged_follower_refuses_promotion() {
 /// once, byte-identical to what an unreplicated service would answer.
 #[test]
 fn killed_primary_loses_nothing_and_retries_dedup_exactly_once() {
-    let (primary, follower) = spawn_pair(16);
+    let ids: Vec<u64> = (3..=10).collect();
+    let last = *ids.last().unwrap();
+    // The primary crashes at the first shipment after it served `last`:
+    // every follower has acked that batch, no client has heard back.
+    let mut served_last = false;
+    let crash = CrashSink::new(move |e: &TraceEvent| match e.kind {
+        EventKind::RequestServed { id, .. } if id == last => {
+            served_last = true;
+            false
+        }
+        EventKind::ReplEntryShipped { .. } => served_last,
+        _ => false,
+    });
+    let primary = Server::spawn(DecisionService::new(ServeConfig {
+        tracer: Tracer::new(Box::new(crash)),
+        ..repl_cfg(false, 16)
+    }));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 16)));
+    primary.replicate_to(&follower);
     let (pconn, fconn) = (primary.client(), follower.client());
     open(&pconn, 1, 1);
     snapshot(&pconn, 2, 1, 5);
 
-    // Enqueue a burst of snapshots and then the kill. The worker answers
-    // some prefix, but the batch it is sweeping when the kill lands is
-    // shipped, acked, and never answered — those reply channels report
-    // disconnection. The burst is far larger than one solve's latency
-    // window, so at least one answer is guaranteed to die.
-    let ids: Vec<u64> = (3..=10).collect();
+    // Enqueue a burst of snapshots. The worker answers every batch before
+    // the one holding `last`; that one is shipped, acked, and never
+    // answered — those reply channels report disconnection.
     let pending: Vec<_> = ids
         .iter()
         .map(|&id| {
@@ -431,24 +465,28 @@ fn killed_primary_loses_nothing_and_retries_dedup_exactly_once() {
                 .unwrap()
         })
         .collect();
-    primary.kill(KillMode::AfterShip);
-    let dead = pending.iter().filter(|rx| rx.recv().is_err()).count();
-    assert!(
-        dead >= 1,
-        "the kill must catch at least one shipped-but-unanswered decision"
+    let answered: Vec<bool> = pending.iter().map(|rx| rx.recv().is_ok()).collect();
+    assert_eq!(
+        answered.last(),
+        Some(&false),
+        "the crash must swallow the answer to {last}"
     );
-    primary.join();
+    assert!(
+        answered.iter().skip_while(|ok| **ok).all(|ok| !ok),
+        "every batch before the crash was answered: {answered:?}"
+    );
+    // A crashed server is dropped, not joined.
+    drop(primary);
 
     // Fail over and retry the LAST id — the one request a synchronous
     // client would actually have in flight when its primary died. The
-    // whole burst was shipped and acked before the death (that is what
-    // `AfterShip` guarantees), so the promoted follower holds it and
-    // must answer the retry from its dedup cache.
+    // whole burst was shipped and acked before the crash, so the
+    // promoted follower holds it and must answer the retry from its
+    // dedup cache.
     match fconn.call(req(100, RequestKind::Promote)).unwrap().kind {
         ResponseKind::Promoted { term, .. } => assert_eq!(term, 2),
         other => panic!("promote answered {}", other.label()),
     }
-    let last = *ids.last().unwrap();
     let retried = snapshot(&fconn, last, 1, last + 3);
     assert!(
         matches!(retried.kind, ResponseKind::Decision { .. }),
@@ -524,7 +562,7 @@ fn killed_primary_loses_nothing_and_retries_dedup_exactly_once() {
 fn client_pinned_to_a_dead_server_fails_typed_not_hanging() {
     let server = Server::spawn(DecisionService::new(ServeConfig::default()));
     let conn = server.client();
-    server.kill(KillMode::Now);
+    conn.call(req(0, RequestKind::Shutdown)).unwrap();
     server.join();
     let err = conn.call(req(1, RequestKind::Stats)).unwrap_err();
     assert_eq!(err, bankaware::partitioning::ClientError::Disconnected);
