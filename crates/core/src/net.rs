@@ -459,7 +459,16 @@ mod tests {
         let out = send_lines(addr, &["{not json"]);
         assert!(out[0].contains("\"code\":\"malformed\""), "{out:?}");
 
-        // Connection 2: hang up mid-frame (no newline, then drop).
+        // Connection 2: a 400 KB line of nested arrays, deep enough to
+        // overflow the handler thread's stack without the parser's
+        // nesting limit, is answered like any other garbage.
+        let nested = "[".repeat(400 * 1024);
+        let out = send_lines(addr, &[&nested]);
+        let resp = parse_response_line(&out[0]).expect("an answer line");
+        assert_eq!(resp.id, 0, "{out:?}");
+        assert_eq!(resp.kind.error_code(), Some("malformed"), "{out:?}");
+
+        // Connection 3: hang up mid-frame (no newline, then drop).
         {
             let stream = TcpStream::connect(addr).expect("connect");
             let mut w = BufWriter::new(stream);
@@ -468,7 +477,7 @@ mod tests {
             // drop: the handler sees EOF mid-frame and just closes
         }
 
-        // Connection 3: still serving, full lifecycle works.
+        // Connection 4: still serving, full lifecycle works.
         let out = send_lines(
             addr,
             &[

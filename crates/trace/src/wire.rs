@@ -846,7 +846,16 @@ mod tests {
 
     #[test]
     fn garbage_is_a_typed_error_not_a_panic() {
-        for bad in ["{", "null", "[1,2]", "{\"id\":true}", "{\"kind\":{}}"] {
+        // A high surrogate escape paired with a non-surrogate escape.
+        let surrogate = r#"{"id":1,"kind":{"Profile":{"workloads":["\ud800\u0041"],"instructions":1,"seed":1}}}"#;
+        for bad in [
+            "{",
+            "null",
+            "[1,2]",
+            "{\"id\":true}",
+            "{\"kind\":{}}",
+            surrogate,
+        ] {
             let err = parse_request_line(bad).unwrap_err();
             assert!(matches!(err, WireError::Malformed(_)), "{bad}");
             let resp = err.to_response();

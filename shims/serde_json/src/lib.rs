@@ -60,6 +60,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -175,9 +176,16 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---- Parser ----
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream
+/// serde_json's default). Arrays and objects parse recursively, so a
+/// deeper input would overflow the stack instead of failing typed.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -223,8 +231,8 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(Error(format!(
                 "unexpected character {:?} at byte {} of JSON input",
@@ -232,6 +240,20 @@ impl<'a> Parser<'a> {
             ))),
             None => Err(Error("unexpected end of JSON input".to_string())),
         }
+    }
+
+    /// Parse an array or object one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {} of JSON input",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -301,6 +323,18 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash as one
+            // run. Both stop bytes are ASCII and the input is a &str, so
+            // the run is whole UTF-8 characters.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| Error("invalid UTF-8 in JSON string".to_string()))?;
+            out.push_str(run);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -331,6 +365,11 @@ impl<'a> Parser<'a> {
                                     ));
                                 }
                                 let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(Error(format!(
+                                        "invalid low surrogate U+{lo:04X} in JSON string"
+                                    )));
+                                }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
                                 hi
@@ -344,17 +383,7 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error("invalid UTF-8 in JSON string".to_string()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(Error("unexpected end of JSON input in string".to_string())),
+                _ => return Err(Error("unexpected end of JSON input in string".to_string())),
             }
         }
     }
@@ -454,6 +483,44 @@ mod tests {
     fn surrogate_pair_parses() {
         let back: String = from_str(r#""😀""#).unwrap();
         assert_eq!(back, "\u{1F600}");
+    }
+
+    #[test]
+    fn escapes_on_both_sides_of_a_multibyte_run_decode() {
+        // Each run of plain characters ends at an escape; the runs here
+        // start and end next to 2-, 3- and 4-byte characters.
+        let text = r#""\té日😀\u00e9x\"€\\""#;
+        let back: String = from_str(text).unwrap();
+        assert_eq!(back, "\té日😀éx\"€\\");
+        let s = "\u{1}é\n日\"😀\\€\u{1f}".to_string();
+        let back: String = from_str(&to_string(&s).unwrap()).unwrap();
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn invalid_surrogate_pairs_are_typed_errors() {
+        // High surrogate, then a second escape that is not a low one:
+        // an ASCII letter, and a private-use character past the range.
+        for text in [r#""\ud800\u0041""#, r#""\ud800\ue000""#] {
+            let err = from_str::<String>(text).unwrap_err();
+            assert!(err.0.contains("low surrogate"), "{text}: {err}");
+        }
+        let back: String = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(back, "\u{1F600}");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{err}");
+        // Deep enough to overflow a default test thread's stack without
+        // the limit.
+        let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str::<Value>(&objects).is_err());
     }
 
     #[test]

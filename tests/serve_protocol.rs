@@ -23,12 +23,27 @@ use proptest::collection;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
-// Strategies. The proptest shim has no `String` strategy, so printable
-// ASCII strings are assembled from byte vectors.
+// Strategies. The proptest shim has no `String` strategy, so strings are
+// assembled from character vectors.
 // ---------------------------------------------------------------------------
 
+/// One character from each class the codec treats differently: plain
+/// ASCII, the two it escapes by name (`"` and `\`), control characters,
+/// and 2-, 3- and 4-byte UTF-8, so escapes land next to multi-byte runs.
+fn arb_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        6 => 32u32..127,
+        1 => prop_oneof![Just('"' as u32), Just('\\' as u32)],
+        1 => 0u32..32,
+        1 => 0x80u32..0x800,
+        1 => prop_oneof![0x800u32..0xD800, 0xE000u32..0x10000],
+        1 => 0x10000u32..0x110000,
+    ]
+    .prop_map(|c| char::from_u32(c).expect("no surrogates drawn"))
+}
+
 fn arb_string() -> impl Strategy<Value = String> {
-    collection::vec(32u8..127, 0..12).prop_map(|bytes| String::from_utf8(bytes).unwrap())
+    collection::vec(arb_char(), 0..300).prop_map(|chars| chars.into_iter().collect())
 }
 
 fn arb_finite() -> impl Strategy<Value = f64> {
@@ -328,9 +343,11 @@ proptest! {
     #[test]
     fn truncations_fail_typed(req in arb_request(), frac in 0.0..1.0f64) {
         let line = encode_request(&req);
-        // Encoded lines are pure ASCII, so byte slicing is char-safe.
-        prop_assert!(line.is_ascii());
-        let cut = ((line.len() as f64) * frac) as usize;
+        // Strings carry multi-byte characters: cut on a char boundary.
+        let mut cut = ((line.len() as f64) * frac) as usize;
+        while !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
         prop_assume!(cut < line.len());
         match parse_request_line(&line[..cut]) {
             Ok(_) => prop_assert!(false, "proper prefix of a JSON object parsed"),

@@ -8,7 +8,9 @@
 //! user-visible guarantees:
 //!
 //! * a cold follower catches up from the anchor checkpoint plus the log
-//!   suffix and then tracks the primary tick for tick;
+//!   suffix and then tracks the primary tick for tick — in process, and
+//!   over the TCP bridge from an anchor of a 128-core session within
+//!   the default ack timeout;
 //! * an unreplicated service stays **byte-identical to the
 //!   pre-replication dialect** — no `term` member ever appears;
 //! * followers refuse state-mutating requests with `not-primary`, and
@@ -27,12 +29,18 @@
 //! served `Shutdown` plus `join`.
 
 use bankaware::fault::{CrashSink, TamperRelay};
-use bankaware::partitioning::{DecisionService, ReplItem, ServeConfig, Server};
+use bankaware::partitioning::{net, DecisionService, ReplItem, ServeConfig, Server};
 use bankaware::trace::wire::{
-    encode_response, RequestKind, ResponseKind, WireCurve, WireRequest, WireResponse,
+    encode_request, encode_response, parse_response_line, RequestKind, ResponseKind, WireCurve,
+    WireRequest, WireResponse,
 };
-use bankaware::trace::{EventKind, TraceEvent, Tracer};
+use bankaware::trace::{EventKind, TraceEvent, TraceSink, Tracer};
 use bankaware::types::{ReplicationConfig, RetryConfig};
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Helpers.
@@ -126,8 +134,9 @@ fn snapshot(
     .unwrap()
 }
 
-fn repl_status(conn: &bankaware::partitioning::ServeClient, id: u64) -> (String, u64, u64, u64) {
-    match conn.call(req(id, RequestKind::ReplStatus)).unwrap().kind {
+/// The role, term, tick and divergence count of a `ReplStatus` answer.
+fn repl_fields(kind: ResponseKind) -> (String, u64, u64, u64) {
+    match kind {
         ResponseKind::ReplStatus {
             role,
             term,
@@ -137,6 +146,10 @@ fn repl_status(conn: &bankaware::partitioning::ServeClient, id: u64) -> (String,
         } => (role, term, tick, divergences),
         other => panic!("repl_status answered {}", other.label()),
     }
+}
+
+fn repl_status(conn: &bankaware::partitioning::ServeClient, id: u64) -> (String, u64, u64, u64) {
+    repl_fields(conn.call(req(id, RequestKind::ReplStatus)).unwrap().kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -578,6 +591,150 @@ fn client_pinned_to_a_dead_server_fails_typed_not_hanging() {
         .call_with_retry(req(2, RequestKind::Stats), &retry)
         .unwrap_err();
     assert_eq!(err, bankaware::partitioning::ClientError::Disconnected);
+}
+
+// ---------------------------------------------------------------------------
+// The TCP replication bridge.
+// ---------------------------------------------------------------------------
+
+/// Forwards a primary's follower-membership events to the test, so it
+/// waits on the join itself rather than on a sleep.
+struct Membership(mpsc::Sender<EventKind>);
+
+impl TraceSink for Membership {
+    fn record(&mut self, event: &TraceEvent) {
+        if matches!(
+            event.kind,
+            EventKind::FollowerJoined { .. } | EventKind::FollowerLost { .. }
+        ) {
+            let _ = self.0.send(event.kind.clone());
+        }
+    }
+}
+
+/// One JSONL client connection to a `serve_tcp` front end.
+struct TcpConn {
+    reader: BufReader<TcpStream>,
+    writer: BufWriter<TcpStream>,
+}
+
+impl TcpConn {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect");
+        TcpConn {
+            reader: BufReader::new(stream.try_clone().expect("clone socket")),
+            writer: BufWriter::new(stream),
+        }
+    }
+
+    fn call(&mut self, request: WireRequest) -> WireResponse {
+        writeln!(self.writer, "{}", encode_request(&request)).expect("write");
+        self.writer.flush().expect("flush");
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read");
+        parse_response_line(line.trim_end()).expect("a response line")
+    }
+
+    fn repl_status(&mut self, id: u64) -> (String, u64, u64, u64) {
+        repl_fields(self.call(req(id, RequestKind::ReplStatus)).kind)
+    }
+}
+
+/// Serve `cfg` on a fresh loopback listener in its own thread.
+fn spawn_tcp(
+    cfg: ServeConfig,
+    replica_of: Option<(String, bool)>,
+) -> (SocketAddr, thread::JoinHandle<DecisionService>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = thread::spawn(move || {
+        net::serve_tcp(
+            DecisionService::new(cfg),
+            listener,
+            Arc::new(net::no_profile),
+            replica_of,
+        )
+    });
+    (addr, handle)
+}
+
+#[test]
+fn tcp_follower_joins_a_large_anchor_within_the_ack_timeout() {
+    const CORES: usize = 128;
+    // Default ack timeout (1 s); a small log so the session's history
+    // re-anchors on a checkpoint before the follower exists.
+    let repl = |follower| ReplicationConfig {
+        follower,
+        log_capacity: 4,
+        ..ReplicationConfig::default()
+    };
+    let (events_tx, events) = mpsc::channel();
+    let (paddr, primary) = spawn_tcp(
+        ServeConfig {
+            replication: Some(repl(false)),
+            tracer: Tracer::new(Box::new(Membership(events_tx))),
+            ..ServeConfig::default()
+        },
+        None,
+    );
+    let mut pconn = TcpConn::connect(paddr);
+    let opened = pconn.call(req(
+        1,
+        RequestKind::Open {
+            session: 1,
+            cores: CORES,
+        },
+    ));
+    assert!(matches!(opened.kind, ResponseKind::Opened { .. }));
+    for round in 0..6u64 {
+        let curves = knee_curves(CORES, round);
+        let resp = pconn.call(req(2 + round, RequestKind::Snapshot { session: 1, curves }));
+        assert!(matches!(resp.kind, ResponseKind::Decision { .. }));
+    }
+    // The anchor a joiner restores is a checkpoint of this one session.
+    match pconn.call(req(20, RequestKind::Checkpoint)).kind {
+        ResponseKind::Checkpointed { bytes, .. } => {
+            assert!(bytes >= 150_000, "a {bytes} B checkpoint is too small")
+        }
+        other => panic!("checkpoint answered {}", other.label()),
+    }
+
+    let (faddr, follower) = spawn_tcp(
+        ServeConfig {
+            replication: Some(repl(true)),
+            ..ServeConfig::default()
+        },
+        Some((paddr.to_string(), true)),
+    );
+    match events.recv_timeout(Duration::from_secs(60)) {
+        Ok(EventKind::FollowerJoined { anchor_tick, .. }) => {
+            assert!(anchor_tick > 0, "the join restored no checkpoint")
+        }
+        other => panic!("the follower did not join: {other:?}"),
+    }
+
+    // Answered after every live follower acked, so the follower has
+    // applied the primary's tick frontier by the time it answers.
+    let (_, _, ptick, _) = pconn.repl_status(21);
+    let mut fconn = TcpConn::connect(faddr);
+    let (role, term, ftick, divergences) = fconn.repl_status(1);
+    assert_eq!(role, "follower", "the follower promoted itself");
+    assert_eq!(term, 1);
+    assert_eq!(ftick, ptick, "follower applied the primary's tick frontier");
+    assert_eq!(divergences, 0);
+    let pplan = pconn.call(req(22, RequestKind::Plan { session: 1 }));
+    let fplan = fconn.call(req(2, RequestKind::Plan { session: 1 }));
+    assert!(matches!(pplan.kind, ResponseKind::Plan { .. }));
+    assert_eq!(masked(&pplan), masked(&fplan));
+    assert!(
+        events.try_recv().is_err(),
+        "the primary dropped its follower"
+    );
+
+    fconn.call(req(3, RequestKind::Shutdown));
+    follower.join().expect("follower exits cleanly");
+    pconn.call(req(23, RequestKind::Shutdown));
+    primary.join().expect("primary exits cleanly");
 }
 
 // ---------------------------------------------------------------------------
