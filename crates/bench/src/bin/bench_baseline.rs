@@ -22,8 +22,8 @@
 //! repetitions (2 quick / 5 full).
 //!
 //! ```sh
-//! cargo run --release --bin bench_baseline            # full windows
-//! cargo run --release --bin bench_baseline -- --quick # smoke
+//! cargo run --release -p bap-bench --bin bench_baseline            # full windows
+//! cargo run --release -p bap-bench --bin bench_baseline -- --quick # smoke
 //! ```
 
 use bap_bench::common::{write_json, Args};

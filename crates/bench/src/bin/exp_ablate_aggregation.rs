@@ -11,7 +11,7 @@ use bap_bench::detailed::sim_options;
 use bap_bench::mixes::{resolve, table3_sets};
 use bap_cache::AggregationScheme;
 use bap_core::Policy;
-use bap_energy::{estimate, EnergyParams};
+use bap_system::energy::{estimate, EnergyParams};
 use bap_system::System;
 use rayon::prelude::*;
 use serde::Serialize;

@@ -185,15 +185,15 @@ fn run_client(
     out
 }
 
-fn fail(master_seed: u64, violation: &str) -> ! {
+fn fail(args: &Args, violation: &str) -> ! {
     let path = results_dir().join("failover_failing_seed.txt");
     std::fs::write(
         &path,
-        format!("seed={master_seed}\nviolation={violation}\n"),
+        format!("seed={}\nviolation={violation}\n", args.seed),
     )
     .expect("write failing seed");
     eprintln!("FAILOVER FAILURE: {violation}");
-    eprintln!("reproduce with: cargo run --release --bin exp_failover -- --seed {master_seed}");
+    eprintln!("reproduce with: {}", args.repro_command("exp_failover"));
     eprintln!("failing seed written to {}", path.display());
     std::process::exit(1);
 }
@@ -229,8 +229,9 @@ fn flip_first_digest(item: &mut ReplItem) -> bool {
 /// Scenario 1: bounded-log catch-up, the digest cross-check, and the
 /// `divergence` promotion refusal. Returns (divergences seen, refusal
 /// observed, anchor tick after rollover, retained log entries).
-fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
+fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
     const LOG_CAPACITY: usize = 8;
+    let seed = args.seed;
     let primary = Server::spawn(DecisionService::new(repl_cfg(false, LOG_CAPACITY)));
     let follower = Server::spawn(DecisionService::new(repl_cfg(true, LOG_CAPACITY)));
     let pconn = primary.client();
@@ -266,7 +267,7 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
         );
         if !matches!(resp.kind, ResponseKind::Decision { .. }) {
             fail(
-                seed,
+                args,
                 &format!("pre-join decision got {}", resp.kind.label()),
             );
         }
@@ -277,17 +278,17 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
             log_entries,
             ..
         } => (anchor_tick, log_entries),
-        other => fail(seed, &format!("primary status got {}", other.label())),
+        other => fail(args, &format!("primary status got {}", other.label())),
     };
     if rounds > LOG_CAPACITY && anchor_tick == 0 {
         fail(
-            seed,
+            args,
             &format!("{rounds} decisions never rolled the capacity-{LOG_CAPACITY} log anchor"),
         );
     }
     if log_entries > LOG_CAPACITY {
         fail(
-            seed,
+            args,
             &format!("log retained {log_entries} entries past capacity {LOG_CAPACITY}"),
         );
     }
@@ -306,13 +307,13 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
         );
         if !matches!(resp.kind, ResponseKind::Decision { .. }) {
             fail(
-                seed,
+                args,
                 &format!("post-join decision got {}", resp.kind.label()),
             );
         }
         match call(&pconn, next(), RequestKind::ReplStatus).kind {
             ResponseKind::ReplStatus { tick, .. } => tick,
-            other => fail(seed, &format!("primary status got {}", other.label())),
+            other => fail(args, &format!("primary status got {}", other.label())),
         }
     };
     // The primary answers only after every live follower acked, so by the
@@ -325,19 +326,19 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
             ..
         } => {
             if role != "follower" {
-                fail(seed, &format!("joined replica reports role {role}"));
+                fail(args, &format!("joined replica reports role {role}"));
             }
             if tick != ptick {
                 fail(
-                    seed,
+                    args,
                     &format!("follower applied tick {tick}, primary committed {ptick}"),
                 );
             }
             if divergences != 0 {
-                fail(seed, &format!("{divergences} divergences before the flip"));
+                fail(args, &format!("{divergences} divergences before the flip"));
             }
         }
-        other => fail(seed, &format!("follower status got {}", other.label())),
+        other => fail(args, &format!("follower status got {}", other.label())),
     }
     // Replayed state must carry the same plan, byte for byte. The two
     // queries ride different request ids, so mask the id too.
@@ -346,7 +347,7 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
     let fplan = masked(call(&fconn, 1_000_002, RequestKind::Plan { session: 1 }));
     if pplan != fplan {
         fail(
-            seed,
+            args,
             &format!("replayed plan differs from primary: {fplan} vs {pplan}"),
         );
     }
@@ -364,16 +365,16 @@ fn scenario_divergence(seed: u64, rounds: usize) -> (u64, bool, u64, usize) {
     );
     let divergences = match call(&fconn, 1_000_003, RequestKind::ReplStatus).kind {
         ResponseKind::ReplStatus { divergences, .. } => divergences,
-        other => fail(seed, &format!("follower status got {}", other.label())),
+        other => fail(args, &format!("follower status got {}", other.label())),
     };
     if divergences == 0 {
-        fail(seed, "injected digest bit-flip was not detected");
+        fail(args, "injected digest bit-flip was not detected");
     }
     // A diverged follower must refuse promotion.
     let refused = match call(&fconn, 1_000_004, RequestKind::Promote).kind {
         ResponseKind::Error { code, .. } if code == "divergence" => true,
         other => fail(
-            seed,
+            args,
             &format!("diverged follower answered promote with {}", other.label()),
         ),
     };
@@ -394,7 +395,8 @@ struct FailoverOut {
 }
 
 /// Scenario 2: the kill-9 flood.
-fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
+fn scenario_failover(args: &Args, sessions: usize, rounds: usize) -> FailoverOut {
+    let seed = args.seed;
     // The primary crashes in the durability window: at the first shipment
     // after it served a third of the flood's decisions — every follower
     // acked that batch, no client has heard back.
@@ -448,7 +450,7 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
                 .is_ok()
         {
             if Instant::now() > deadline {
-                fail(seed, "primary did not crash within 30s");
+                fail(args, "primary did not crash within 30s");
             }
             thread::sleep(Duration::from_millis(1));
         }
@@ -459,7 +461,7 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
         let promote = call(&fdirect, 910_000_000, RequestKind::Promote);
         let term = match promote.kind {
             ResponseKind::Promoted { term, .. } => term,
-            other => fail(seed, &format!("promote answered {}", other.label())),
+            other => fail(args, &format!("promote answered {}", other.label())),
         };
 
         let outs: Vec<ClientOut> = handles
@@ -477,7 +479,7 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
             .min();
         let latency_ms = match first_after {
             Some(at) => at.duration_since(kill_confirmed).as_secs_f64() * 1e3,
-            None => fail(seed, "no client completed a decision after the failover"),
+            None => fail(args, "no client completed a decision after the failover"),
         };
         let decisions = |after: bool| {
             outs.iter()
@@ -503,7 +505,8 @@ fn scenario_failover(seed: u64, sessions: usize, rounds: usize) -> FailoverOut {
 }
 
 /// Scenario 3: the deposed primary's answers are demoted to `fenced`.
-fn scenario_fencing(seed: u64) -> usize {
+fn scenario_fencing(args: &Args) -> usize {
+    let seed = args.seed;
     let primary = Server::spawn(DecisionService::new(repl_cfg(false, 64)));
     let follower = Server::spawn(DecisionService::new(repl_cfg(true, 64)));
     primary.replicate_to(&follower);
@@ -531,12 +534,12 @@ fn scenario_fencing(seed: u64) -> usize {
     let fdirect = follower.client();
     match call(&fdirect, 3, RequestKind::Promote).kind {
         ResponseKind::Promoted { term: 2, .. } => {}
-        other => fail(seed, &format!("promote answered {}", other.label())),
+        other => fail(args, &format!("promote answered {}", other.label())),
     }
     let fleet = Server::client_of(&[&follower, &primary]);
     match call(&fleet, 4, RequestKind::Stats).kind {
         ResponseKind::Stats { .. } => {}
-        other => fail(seed, &format!("stats on successor got {}", other.label())),
+        other => fail(args, &format!("stats on successor got {}", other.label())),
     }
 
     // Shut the successor down: the fleet client falls back to the deposed
@@ -546,7 +549,7 @@ fn scenario_fencing(seed: u64) -> usize {
     let fenced = match call(&fleet, 6, RequestKind::Stats).kind {
         ResponseKind::Error { ref code, .. } if code == "fenced" => 1,
         other => fail(
-            seed,
+            args,
             &format!("deposed primary answered {} unfenced", other.label()),
         ),
     };
@@ -562,7 +565,7 @@ fn main() {
 
     // ---- Scenario 1: divergence detection -------------------------------
     let (divergences, refused, anchor_tick, log_entries) =
-        scenario_divergence(args.seed, if args.quick { 12 } else { 40 });
+        scenario_divergence(&args, if args.quick { 12 } else { 40 });
     println!(
         "divergence: {} mismatch(es) caught from one flipped bit, promote refused, \
          log bounded at {} entries (anchor tick {})",
@@ -570,13 +573,13 @@ fn main() {
     );
 
     // ---- Scenario 2: kill-9 failover ------------------------------------
-    let failover = scenario_failover(args.seed, sessions, rounds);
+    let failover = scenario_failover(&args, sessions, rounds);
     let outs = &failover.clients;
 
     let gave_up: Vec<&String> = outs.iter().flat_map(|o| &o.gave_up).collect();
     if let Some(g) = gave_up.first() {
         fail(
-            args.seed,
+            &args,
             &format!(
                 "{} acknowledged decisions lost to give-ups, first: {g}",
                 gave_up.len()
@@ -599,7 +602,7 @@ fn main() {
         let got: Vec<&String> = out.acked.iter().map(|a| &a.encoded).collect();
         if got.len() != expect.len() {
             fail(
-                args.seed,
+                &args,
                 &format!(
                     "session {}: {} acknowledged answers, ground truth has {}",
                     c + 1,
@@ -611,7 +614,7 @@ fn main() {
         for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
             if *g != e {
                 fail(
-                    args.seed,
+                    &args,
                     &format!(
                         "session {}: answer {} diverged from ground truth across the \
                          failover:\n  got      {g}\n  expected {e}",
@@ -636,7 +639,7 @@ fn main() {
     );
 
     // ---- Scenario 3: fencing --------------------------------------------
-    let fenced = scenario_fencing(args.seed);
+    let fenced = scenario_fencing(&args);
     println!("fencing: deposed primary demoted to `fenced` on {fenced} stale answer(s)");
 
     // ---- Report ---------------------------------------------------------

@@ -12,7 +12,8 @@
 //! hardware. A closed-loop probe client runs `call_with_retry` throughout,
 //! and a calm phase afterwards lets the brownout ladder walk home.
 //!
-//! The run fails (writing `results/overload_failing_seed.txt`) unless:
+//! The run fails, reporting every violated verdict and writing them all to
+//! `results/overload_failing_seed.txt`, unless:
 //!
 //! * **nothing panics** — every thread joins, no session is quarantined;
 //! * **every response is typed** — a `Decision`, an `overloaded` shed, or
@@ -324,25 +325,29 @@ fn probe_client(
     (ok, gave_up, violations)
 }
 
-fn fail(master_seed: u64, violation: &str) -> ! {
+/// Report every violation, write them all to the failing-seed file with
+/// the seed, and exit non-zero.
+fn fail(args: &Args, violations: &[String]) -> ! {
     let path = results_dir().join("overload_failing_seed.txt");
-    std::fs::write(
-        &path,
-        format!("seed={master_seed}\nviolation={violation}\n"),
-    )
-    .expect("write failing seed");
-    eprintln!("OVERLOAD FAILURE: {violation}");
-    eprintln!("reproduce with: cargo run --release --bin exp_overload -- --seed {master_seed}");
+    let record: String = violations
+        .iter()
+        .map(|v| format!("violation={v}\n"))
+        .collect();
+    std::fs::write(&path, format!("seed={}\n{record}", args.seed)).expect("write failing seed");
+    for v in violations {
+        eprintln!("OVERLOAD FAILURE: {v}");
+    }
+    eprintln!("reproduce with: {}", args.repro_command("exp_overload"));
     eprintln!("failing seed written to {}", path.display());
     std::process::exit(1);
 }
 
 /// Serve one control request on a fresh client, or die with context.
-fn control(server: &Server, seed: u64, id: u64, kind: RequestKind) -> ResponseKind {
+fn control(server: &Server, args: &Args, id: u64, kind: RequestKind) -> ResponseKind {
     let what = kind.label();
     match server.client().call(WireRequest::new(id, kind)) {
         Ok(resp) => resp.kind,
-        Err(e) => fail(seed, &format!("control {what} failed: {e}")),
+        Err(e) => fail(args, &[format!("control {what} failed: {e}")]),
     }
 }
 
@@ -480,7 +485,7 @@ fn main() {
             };
             let (ok, gave_up, violations) = probe.join().expect("probe thread");
             if let Some(v) = violations.first() {
-                fail(args.seed, v);
+                fail(&args, std::slice::from_ref(v));
             }
             probe_ok += ok;
             probe_gave_up += gave_up;
@@ -493,19 +498,22 @@ fn main() {
 
         if first {
             // ---- Chaos: checkpoint, crash, fault two banks, restart.
-            match control(&server, args.seed, 950_000_001, RequestKind::Checkpoint) {
+            match control(&server, &args, 950_000_001, RequestKind::Checkpoint) {
                 ResponseKind::Checkpointed { tick, .. } => checkpoint_tick = tick,
-                other => fail(args.seed, &format!("checkpoint got {}", other.label())),
+                other => fail(&args, &[format!("checkpoint got {}", other.label())]),
             }
-            match control(&server, args.seed, 950_000_002, RequestKind::Shutdown) {
+            match control(&server, &args, 950_000_002, RequestKind::Shutdown) {
                 ResponseKind::Bye { .. } => {}
-                other => fail(args.seed, &format!("shutdown got {}", other.label())),
+                other => fail(&args, &[format!("shutdown got {}", other.label())]),
             }
             let mut service = server.join();
             if service.num_quarantined() > 0 {
                 fail(
-                    args.seed,
-                    &format!("{} sessions quarantined mid-run", service.num_quarantined()),
+                    &args,
+                    &[format!(
+                        "{} sessions quarantined mid-run",
+                        service.num_quarantined()
+                    )],
                 );
             }
             service.fail_bank(1, 0);
@@ -537,24 +545,27 @@ fn main() {
                 calm_decisions += 1;
                 calm_lat_us.push(t.elapsed().as_secs_f64() * 1e6);
             }
-            Ok(resp) => fail(args.seed, &format!("calm call got {}", resp.kind.label())),
-            Err(e) => fail(args.seed, &format!("calm call failed: {e}")),
+            Ok(resp) => fail(&args, &[format!("calm call got {}", resp.kind.label())]),
+            Err(e) => fail(&args, &[format!("calm call failed: {e}")]),
         }
         thread::sleep(Duration::from_millis(8));
     }
-    match control(&server, args.seed, 999_999_999, RequestKind::Shutdown) {
+    match control(&server, &args, 999_999_999, RequestKind::Shutdown) {
         ResponseKind::Bye { .. } => {}
-        other => fail(args.seed, &format!("final shutdown got {}", other.label())),
+        other => fail(&args, &[format!("final shutdown got {}", other.label())]),
     }
     let service = server.join();
 
     // ---- Verdicts -------------------------------------------------------
+    // Every verdict is evaluated before the run fails, so one violation
+    // cannot hide the ones checked after it.
+    let mut violations: Vec<String> = Vec::new();
     let quarantined = service.num_quarantined();
     if quarantined > 0 {
-        fail(args.seed, &format!("{quarantined} sessions quarantined"));
+        violations.push(format!("{quarantined} sessions quarantined"));
     }
     if let Some(v) = waves.iter().flat_map(|w| &w.violations).next() {
-        fail(args.seed, v);
+        violations.push(v.clone());
     }
     let sent: usize = waves.iter().map(|w| w.sent).sum();
     let decisions: usize = waves.iter().map(|w| w.decisions).sum();
@@ -562,61 +573,51 @@ fn main() {
     let deadline_exceeded: usize = waves.iter().map(|w| w.deadline_exceeded).sum();
     let missing_hint: usize = waves.iter().map(|w| w.missing_hint).sum();
     if decisions + shed + deadline_exceeded != sent {
-        fail(
-            args.seed,
-            &format!(
-                "{sent} sent but {} classified",
-                decisions + shed + deadline_exceeded
-            ),
-        );
+        violations.push(format!(
+            "{sent} sent but {} classified",
+            decisions + shed + deadline_exceeded
+        ));
     }
     if missing_hint > 0 {
-        fail(
-            args.seed,
-            &format!("{missing_hint} sheds without a retry_after_ms hint"),
-        );
+        violations.push(format!(
+            "{missing_hint} sheds without a retry_after_ms hint"
+        ));
     }
     if deadline_exceeded == 0 {
-        fail(
-            args.seed,
-            "no deadline ever expired under a 4x flood with 8ms deadlines",
-        );
+        violations.push("no deadline ever expired under a 4x flood with 8ms deadlines".into());
     }
     if decisions == 0 {
-        fail(args.seed, "zero goodput: every flood request was shed");
+        violations.push("zero goodput: every flood request was shed".into());
     }
     let summary = tracer.summary().expect("ring tracer carries a summary");
     if summary.brownout_enters == 0 {
-        fail(args.seed, "the brownout ladder never engaged under flood");
+        violations.push("the brownout ladder never engaged under flood".into());
     }
     if summary.brownout_exits == 0 {
-        fail(
-            args.seed,
-            "the brownout ladder never exited after the load dropped",
-        );
+        violations.push("the brownout ladder never exited after the load dropped".into());
     }
 
     // The mid-run checkpoint must cold-start a fresh service.
     let mut restored = DecisionService::new(ServeConfig::default());
-    let tick = match restored.restore_from_path(&checkpoint_path) {
-        Ok(tick) => tick,
-        Err(e) => fail(args.seed, &format!("checkpoint did not restore: {e}")),
-    };
-    if tick != checkpoint_tick {
-        fail(
-            args.seed,
-            &format!("restored tick {tick} != checkpointed {checkpoint_tick}"),
-        );
-    }
     let expected_sessions = sessions + 1; // producers + the probe
-    if restored.num_sessions() != expected_sessions {
-        fail(
-            args.seed,
-            &format!(
-                "restored {} of {expected_sessions} sessions",
-                restored.num_sessions()
-            ),
-        );
+    match restored.restore_from_path(&checkpoint_path) {
+        Ok(tick) => {
+            if tick != checkpoint_tick {
+                violations.push(format!(
+                    "restored tick {tick} != checkpointed {checkpoint_tick}"
+                ));
+            }
+            if restored.num_sessions() != expected_sessions {
+                violations.push(format!(
+                    "restored {} of {expected_sessions} sessions",
+                    restored.num_sessions()
+                ));
+            }
+        }
+        Err(e) => violations.push(format!("checkpoint did not restore: {e}")),
+    }
+    if !violations.is_empty() {
+        fail(&args, &violations);
     }
 
     // ---- Report ---------------------------------------------------------

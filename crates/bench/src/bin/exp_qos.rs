@@ -276,7 +276,7 @@ fn main() {
                 )
                 .expect("write failing seed");
                 eprintln!("SLO BREACH at round {round} (seed {seed}): {breach}");
-                eprintln!("reproduce with: cargo run --release --bin exp_qos -- --seed {seed}");
+                eprintln!("reproduce with: cargo run --release -p bap-bench --bin exp_qos -- --seed {seed}");
                 eprintln!("failing seed written to {}", path.display());
                 std::process::exit(1);
             }

@@ -227,15 +227,15 @@ fn run_client(
     out
 }
 
-fn fail(master_seed: u64, violation: &str) -> ! {
+fn fail(args: &Args, violation: &str) -> ! {
     let path = results_dir().join("serve_failing_seed.txt");
     std::fs::write(
         &path,
-        format!("seed={master_seed}\nviolation={violation}\n"),
+        format!("seed={}\nviolation={violation}\n", args.seed),
     )
     .expect("write failing seed");
     eprintln!("SERVE FAILURE: {violation}");
-    eprintln!("reproduce with: cargo run --release --bin exp_serve -- --seed {master_seed}");
+    eprintln!("reproduce with: {}", args.repro_command("exp_serve"));
     eprintln!("failing seed written to {}", path.display());
     std::process::exit(1);
 }
@@ -276,10 +276,7 @@ fn main() {
             .expect("checkpoint answered");
         let (cp_bytes, cp_tick) = match cp.kind {
             ResponseKind::Checkpointed { bytes, tick, .. } => (bytes, tick),
-            other => fail(
-                args.seed,
-                &format!("checkpoint request got {}", other.label()),
-            ),
+            other => fail(&args, &format!("checkpoint request got {}", other.label())),
         };
         resume.wait();
 
@@ -304,7 +301,7 @@ fn main() {
             .expect("plan answered");
         match resp.kind {
             ResponseKind::Plan { fingerprint, .. } => final_fps.push(fingerprint),
-            other => fail(args.seed, &format!("plan request got {}", other.label())),
+            other => fail(&args, &format!("plan request got {}", other.label())),
         }
     }
     let stats_resp = conn
@@ -316,13 +313,13 @@ fn main() {
             warm_hits,
             ..
         } => (decisions, warm_hits),
-        other => fail(args.seed, &format!("stats request got {}", other.label())),
+        other => fail(&args, &format!("stats request got {}", other.label())),
     };
     let bye = conn
         .call(WireRequest::new(u64::MAX, RequestKind::Shutdown))
         .expect("shutdown answered");
     if !matches!(bye.kind, ResponseKind::Bye { .. }) {
-        fail(args.seed, &format!("shutdown got {}", bye.kind.label()));
+        fail(&args, &format!("shutdown got {}", bye.kind.label()));
     }
     server.join();
 
@@ -330,11 +327,11 @@ fn main() {
     let dropped: usize = clients.iter().map(|c| c.dropped).sum();
     let garbled: Vec<&String> = clients.iter().flat_map(|c| &c.garbled).collect();
     if dropped > 0 {
-        fail(args.seed, &format!("{dropped} calls dropped"));
+        fail(&args, &format!("{dropped} calls dropped"));
     }
     if let Some(g) = garbled.first() {
         fail(
-            args.seed,
+            &args,
             &format!("{} garbled responses, first: {g}", garbled.len()),
         );
     }
@@ -343,17 +340,17 @@ fn main() {
     let mut restored = DecisionService::new(ServeConfig::default());
     let tick = match restored.restore_from_path(&checkpoint_path) {
         Ok(tick) => tick,
-        Err(e) => fail(args.seed, &format!("checkpoint file did not restore: {e}")),
+        Err(e) => fail(&args, &format!("checkpoint file did not restore: {e}")),
     };
     if tick != checkpoint_tick {
         fail(
-            args.seed,
+            &args,
             &format!("restored tick {tick} != checkpointed tick {checkpoint_tick}"),
         );
     }
     if restored.num_sessions() != sessions {
         fail(
-            args.seed,
+            &args,
             &format!(
                 "restored {} of {sessions} sessions",
                 restored.num_sessions()
@@ -370,7 +367,7 @@ fn main() {
         };
         if acked.is_some() && got != acked {
             fail(
-                args.seed,
+                &args,
                 &format!(
                     "session {session}: restored plan {got:?} != acknowledged {acked:?} \
                      at the checkpoint frontier"
@@ -392,7 +389,7 @@ fn main() {
         }
         if fps != client.decisions {
             fail(
-                args.seed,
+                &args,
                 &format!(
                     "session {}: serial replay diverged from the threaded run \
                      ({} vs {} decisions)",
@@ -404,7 +401,7 @@ fn main() {
         }
         if fps.last().copied() != Some(final_fps[c]) {
             fail(
-                args.seed,
+                &args,
                 &format!("session {}: final plan query disagrees with history", c + 1),
             );
         }

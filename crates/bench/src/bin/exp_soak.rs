@@ -245,7 +245,9 @@ fn main() {
             )
             .expect("write failing seed");
             eprintln!("SOAK FAILURE at round {round} (seed {seed}): {violation}");
-            eprintln!("reproduce with: cargo run --release --bin exp_soak -- --seed {seed}");
+            eprintln!(
+                "reproduce with: cargo run --release -p bap-bench --bin exp_soak -- --seed {seed}"
+            );
             eprintln!("failing seed written to {}", path.display());
             std::process::exit(1);
         }

@@ -74,6 +74,17 @@ impl Args {
         }
         args
     }
+
+    /// The one command that re-runs this invocation's seed, in `--quick`
+    /// mode when it was set, from the repository root (`bap-bench` is not
+    /// a default workspace member, hence `-p`).
+    pub fn repro_command(&self, bin: &str) -> String {
+        let quick = if self.quick { " --quick" } else { "" };
+        format!(
+            "cargo run --release -p bap-bench --bin {bin} -- --seed {}{quick}",
+            self.seed
+        )
+    }
 }
 
 /// The `results/` directory at the workspace root (created on demand).

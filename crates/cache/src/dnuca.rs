@@ -181,23 +181,6 @@ impl DnucaL2 {
         self.plan.as_ref()
     }
 
-    /// Migration cost of installing `candidate` over the plan in force:
-    /// the number of `(bank, way)` slots that would change owner
-    /// ([`PartitionPlan::way_churn`]). With no plan installed every way of
-    /// the candidate moves.
-    pub fn plan_churn(&self, candidate: &PartitionPlan) -> usize {
-        match &self.plan {
-            Some(current) => candidate.way_churn(current),
-            None => candidate.num_banks * candidate.bank_ways,
-        }
-    }
-
-    /// Whether installing `candidate` would change any way ownership at all.
-    /// The anti-thrash controller uses this to skip zero-effect reinstalls.
-    pub fn would_change(&self, candidate: &PartitionPlan) -> bool {
-        self.plan_churn(candidate) > 0
-    }
-
     /// Number of banks.
     pub fn num_banks(&self) -> usize {
         self.banks.len()
@@ -832,11 +815,6 @@ impl DnucaL2 {
     /// Total resident lines across banks.
     pub fn occupancy(&self) -> usize {
         self.banks.iter().map(|b| b.occupancy()).sum()
-    }
-
-    /// Total fills across banks (allocation traffic).
-    pub fn total_fills(&self) -> u64 {
-        self.banks.iter().map(|b| b.fills()).sum()
     }
 }
 

@@ -269,13 +269,6 @@ impl<M: Clone> SetAssocCache<M> {
         })
     }
 
-    /// Mutable access to a resident line's metadata.
-    pub fn line_mut(&mut self, block: BlockAddr) -> Option<&mut Line<M>> {
-        let way = self.probe(block)?;
-        let set_idx = self.set_of(block);
-        self.sets[set_idx].lines[way].as_mut()
-    }
-
     /// Shared access to a resident line.
     pub fn line(&self, block: BlockAddr) -> Option<&Line<M>> {
         let way = self.probe(block)?;

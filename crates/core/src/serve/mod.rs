@@ -15,9 +15,11 @@
 //!   on the id-ordered per-session request sequences — never on arrival
 //!   interleaving, batch boundaries, or the concurrency level that
 //!   delivered them (`tests/serve.rs` proves this bit-identically).
-//! * **Fan-out** — distinct sessions are independent, so a batch's
-//!   decision work fans out across cores on the rayon pool, one task per
-//!   session; within a session, requests apply serially in id order.
+//! * **Serial sessions** — a batch's decision work runs on the calling
+//!   thread, one session at a time in ascending session id; within a
+//!   session, requests apply in id order. No session sits behind a lock
+//!   and no thread starts inside a tick, so the determinism contract
+//!   holds by construction. A panic quarantines its own session only.
 //! * **Warm starts** — sessions run the [`crate::IncrementalSolver`] with
 //!   a zero delta threshold, so steady-state decisions reuse cluster
 //!   sub-plans bit-identically to a cold solve at a fraction of the cost.

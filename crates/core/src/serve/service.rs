@@ -16,11 +16,9 @@ use bap_trace::{EventKind, NoopSink, Tracer};
 use bap_types::{
     BankId, ControlConfig, DegradedTopology, OverloadConfig, ReplicationConfig, Topology,
 };
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// Tunables of the decision service. The defaults mirror the experiment
 /// fleet: 8-way banks, the reference profiler geometry, and warm starts
@@ -197,7 +195,7 @@ fn convert_curves(curves: &[WireCurve], cores: usize) -> Result<Vec<MissRatioCur
 }
 
 /// Apply one decision request (`Snapshot`/`Evaluate`) to its session.
-/// Runs inside the per-session fan-out task.
+/// Runs inside the session's `catch_unwind` in phase 2 of the batch.
 fn apply_decision(
     s: &mut SessionState,
     req: &WireRequest,
@@ -336,12 +334,16 @@ impl DecisionService {
     /// *input* order of `requests`; internally the batch is applied in
     /// ascending request-id order (stable on ties), in three phases:
     ///
-    /// 1. session lifecycle (`Open`), serially;
-    /// 2. decision work (`Snapshot`/`Evaluate`), fanned out across
-    ///    sessions in parallel — within a session, id order;
+    /// 1. session lifecycle (`Open`);
+    /// 2. decision work (`Snapshot`/`Evaluate`), session by session in
+    ///    ascending session id — within a session, id order;
     /// 3. queries and service-wide operations (`Plan`, `Stats`,
-    ///    `Checkpoint`, `Shutdown`), serially, observing the post-decision
-    ///    state of the tick.
+    ///    `Checkpoint`, `Shutdown`), observing the post-decision state of
+    ///    the tick.
+    ///
+    /// Every phase runs on the calling thread. A panic in one session's
+    /// decision work quarantines that session only; the sessions after it
+    /// still run.
     ///
     /// This makes the responses a pure function of the id-ordered
     /// per-session request sequences: how requests were split into
@@ -389,10 +391,8 @@ impl DecisionService {
             }
         }
 
-        // Phase 2: decision work. Group by session preserving id order,
-        // move each touched session behind a Mutex, and fan the groups out
-        // on the rayon pool — sessions are independent, so the parallel
-        // schedule cannot affect any result.
+        // Phase 2: decision work, serial in ascending session id; within a
+        // session, id order.
         let mut by_session: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for &i in &order {
             match &requests[i].kind {
@@ -408,24 +408,6 @@ impl DecisionService {
                 _ => {}
             }
         }
-        let mut work: Vec<(u64, Mutex<SessionState>, Vec<usize>)> = Vec::new();
-        for (session, idxs) in by_session {
-            if self.poisoned.contains(&session) {
-                for i in idxs {
-                    kinds[i] = Some(quarantined(session));
-                }
-                continue;
-            }
-            match self.sessions.remove(&session) {
-                Some(state) => work.push((session, Mutex::new(state), idxs)),
-                None => {
-                    for i in idxs {
-                        kinds[i] = Some(unknown_session(session));
-                    }
-                }
-            }
-        }
-        let touched = work.len();
         let solver = self.cfg.solver;
         // Replicated services cache each session's last applied Snapshot
         // by request id: a client that never heard its acknowledged
@@ -433,60 +415,52 @@ impl DecisionService {
         // retries the same id against the promoted follower and gets the
         // cached response instead of a double-applied epoch.
         let dedup = self.repl.is_some();
-        // A panic inside a session's decision work must not take down the
-        // batch (or, through the rayon shim, the whole worker): the
-        // catch_unwind rides *inside* the per-session task, so a poisoned
-        // session answers its requests with the stable `internal` code
-        // while every other session's group completes untouched.
-        let serve_group = |(session, state, idxs): &(u64, Mutex<SessionState>, Vec<usize>)| {
+        let mut touched = 0;
+        for (session, idxs) in by_session {
+            if self.poisoned.contains(&session) {
+                for i in idxs {
+                    kinds[i] = Some(quarantined(session));
+                }
+                continue;
+            }
+            let Some(s) = self.sessions.get_mut(&session) else {
+                for i in idxs {
+                    kinds[i] = Some(unknown_session(session));
+                }
+                continue;
+            };
+            touched += 1;
+            // A panic inside one session's decision work must not take
+            // down the batch: each session's group gets its own
+            // catch_unwind, so the sessions after it in id order still
+            // run.
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                let mut s = match state.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                idxs.iter()
-                    .map(|&i| {
-                        let req = &requests[i];
-                        if dedup && matches!(req.kind, RequestKind::Snapshot { .. }) {
-                            if let Some((last_id, cached)) = &s.last_decision {
-                                if *last_id == req.id {
-                                    return (i, cached.clone());
-                                }
+                for &i in &idxs {
+                    let req = &requests[i];
+                    if dedup && matches!(req.kind, RequestKind::Snapshot { .. }) {
+                        if let Some((last_id, cached)) = &s.last_decision {
+                            if *last_id == req.id {
+                                kinds[i] = Some(cached.clone());
+                                continue;
                             }
                         }
-                        let kind = apply_decision(&mut s, req, &solver, ctx);
-                        if dedup && matches!(req.kind, RequestKind::Snapshot { .. }) {
-                            s.last_decision = Some((req.id, kind.clone()));
-                        }
-                        (i, kind)
-                    })
-                    .collect::<Vec<(usize, ResponseKind)>>()
+                    }
+                    let kind = apply_decision(s, req, &solver, ctx);
+                    if dedup && matches!(req.kind, RequestKind::Snapshot { .. }) {
+                        s.last_decision = Some((req.id, kind.clone()));
+                    }
+                    kinds[i] = Some(kind);
+                }
             }));
-            match caught {
-                Ok(answers) => answers,
-                Err(_) => idxs.iter().map(|&i| (i, quarantined(*session))).collect(),
-            }
-        };
-        let results: Vec<Vec<(usize, ResponseKind)>> = if work.len() > 1 {
-            work.par_iter().map(serve_group).collect()
-        } else {
-            work.iter().map(serve_group).collect()
-        };
-        for (session, state, _) in work {
-            match state.into_inner() {
-                Ok(state) => {
-                    self.sessions.insert(session, state);
+            if caught.is_err() {
+                // The panic left this session's state mid-mutation:
+                // discard it, answer its whole group with the stable
+                // `internal` code, and quarantine the id until a fresh Open.
+                self.sessions.remove(&session);
+                self.poisoned.insert(session);
+                for i in idxs {
+                    kinds[i] = Some(quarantined(session));
                 }
-                Err(_) => {
-                    // The panic left this session's state mid-mutation:
-                    // discard it and quarantine the id until a fresh Open.
-                    self.poisoned.insert(session);
-                }
-            }
-        }
-        for group in results {
-            for (i, kind) in group {
-                kinds[i] = Some(kind);
             }
         }
 
@@ -1156,35 +1130,36 @@ pub(crate) mod tests {
 
     #[test]
     fn a_session_panic_quarantines_it_and_reopen_recovers() {
+        // Phase 2 visits sessions in ascending id: HEALTHY runs before the
+        // panic, TRAILING after it.
         const HEALTHY: u64 = 0x0A11_7E57;
         const DOOMED: u64 = 0x0A11_DEAD;
+        const TRAILING: u64 = 0x0A11_F00D;
         let code = |kind: &ResponseKind| kind.error_code().map(str::to_string);
+        let open = |id: u64, session: u64| req(id, RequestKind::Open { session, cores: 8 });
         let mut svc = DecisionService::new(ServeConfig::default());
-        svc.process_batch(&[
-            req(
-                1,
-                RequestKind::Open {
-                    session: HEALTHY,
-                    cores: 8,
-                },
-            ),
-            req(
-                2,
-                RequestKind::Open {
-                    session: DOOMED,
-                    cores: 8,
-                },
-            ),
-        ]);
+        svc.process_batch(&[open(1, HEALTHY), open(2, DOOMED), open(3, TRAILING)]);
 
         // The batch that trips the injected panic: the doomed session dies
-        // mid-solve, the healthy one must be untouched.
+        // mid-solve, the sessions on either side of it must be untouched.
         PANIC_SESSION.store(DOOMED, Ordering::SeqCst);
-        let out = svc.process_batch(&[snapshot(10, HEALTHY, 5), snapshot(11, DOOMED, 5)]);
-        assert!(
-            matches!(out[0].kind, ResponseKind::Decision { .. }),
-            "the healthy session's decision survives the sibling panic"
-        );
+        let out = svc.process_batch(&[
+            snapshot(10, HEALTHY, 5),
+            snapshot(11, DOOMED, 5),
+            snapshot(12, TRAILING, 5),
+        ]);
+        let mut fresh = DecisionService::new(ServeConfig::default());
+        fresh.process_batch(&[open(1, TRAILING)]);
+        let expected = fp(&fresh.process_batch(&[snapshot(2, TRAILING, 5)])[0]);
+        assert!(expected.is_some());
+        for (resp, who) in [(&out[0], "healthy"), (&out[2], "trailing")] {
+            assert!(
+                matches!(resp.kind, ResponseKind::Decision { .. }),
+                "the {who} session's decision survives the sibling panic, got {:?}",
+                resp.kind
+            );
+            assert_eq!(fp(resp), expected, "the {who} session's plan moved");
+        }
         assert_eq!(
             code(&out[1].kind).as_deref(),
             Some("internal"),
@@ -1194,24 +1169,15 @@ pub(crate) mod tests {
 
         // Quarantine is sticky across batches and request kinds.
         let out = svc.process_batch(&[
-            snapshot(12, DOOMED, 6),
-            req(13, RequestKind::Plan { session: DOOMED }),
+            snapshot(13, DOOMED, 6),
+            req(14, RequestKind::Plan { session: DOOMED }),
         ]);
         assert_eq!(code(&out[0].kind).as_deref(), Some("internal"));
         assert_eq!(code(&out[1].kind).as_deref(), Some("internal"));
 
         // A fresh Open clears it; the seam fired once, so the rebuilt
         // session serves normally.
-        let out = svc.process_batch(&[
-            req(
-                20,
-                RequestKind::Open {
-                    session: DOOMED,
-                    cores: 8,
-                },
-            ),
-            snapshot(21, DOOMED, 7),
-        ]);
+        let out = svc.process_batch(&[open(20, DOOMED), snapshot(21, DOOMED, 7)]);
         assert!(matches!(out[0].kind, ResponseKind::Opened { .. }));
         assert!(
             matches!(out[1].kind, ResponseKind::Decision { .. }),

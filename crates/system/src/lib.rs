@@ -17,8 +17,11 @@
 //! * [`analytic`] — the projection-based evaluator behind Fig. 7's Monte
 //!   Carlo: profiles workloads stand-alone and projects mix miss rates
 //!   without simulating.
+//! * [`energy`] — the event-based dynamic-energy model that prices a
+//!   run's L2, NoC and DRAM counters after the fact.
 
 pub mod analytic;
+pub mod energy;
 pub mod memory;
 pub mod metrics;
 pub mod recovery;

@@ -18,7 +18,7 @@ use bap_cpu::CoreModel;
 use bap_dram::DramStats;
 use bap_noc::NocStats;
 use bap_trace::{TraceSummary, Tracer};
-use bap_types::stats::{geometric_mean, CoreStats};
+use bap_types::stats::CoreStats;
 use bap_types::{Addr, CoreId, Cycle, Op, SystemConfig};
 use bap_workloads::{AddressStream, WorkloadSpec};
 use std::cmp::Reverse;
@@ -154,12 +154,6 @@ impl RunResult {
         } else {
             self.total_l2_misses() as f64 / a as f64
         }
-    }
-
-    /// Geometric-mean CPI across cores.
-    pub fn gm_cpi(&self) -> f64 {
-        let cpis: Vec<f64> = self.per_core.iter().map(|c| c.cpi()).collect();
-        geometric_mean(&cpis)
     }
 
     /// Arithmetic-mean CPI across cores.

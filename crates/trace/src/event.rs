@@ -346,13 +346,14 @@ pub enum EventKind {
         demoted: usize,
     },
     /// The decision service closed one epoch tick: a batch of concurrent
-    /// requests was ordered, fanned out across sessions and served.
+    /// requests was ordered, applied session by session and served.
     BatchDispatched {
         /// The server's epoch tick (batch number).
         tick: u64,
         /// Requests in the batch.
         requests: usize,
-        /// Distinct sessions the batch's decision work targeted.
+        /// Distinct open sessions the batch's decision work ran on
+        /// (unknown and quarantined session ids are not counted).
         sessions: usize,
     },
     /// One wire request was served (emitted per request, in the

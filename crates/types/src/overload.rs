@@ -66,12 +66,6 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// True when no limit is set at all — the config regulates nothing
-    /// (the brownout ladder never arms without a tick budget).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_queue_depth == 0 && self.max_session_inflight == 0 && self.tick_budget_ms == 0
-    }
-
     /// Brownout enter threshold, floored at one tick.
     pub fn enter_ticks(&self) -> u32 {
         self.brownout_enter_ticks.max(1)
@@ -167,7 +161,6 @@ mod tests {
     #[test]
     fn default_is_the_tuned_preset() {
         let c = OverloadConfig::default();
-        assert!(!c.is_unlimited());
         assert!(c.exit_ticks() > c.enter_ticks(), "exit must be hysteretic");
     }
 
@@ -179,7 +172,6 @@ mod tests {
             tick_budget_ms: 0,
             ..OverloadConfig::default()
         };
-        assert!(c.is_unlimited());
         assert!(c.enter_ticks() >= 1);
     }
 

@@ -10,7 +10,7 @@
 //! * [`msa`] — Mattson stack-distance profilers and miss-ratio curves;
 //! * [`noc`] — on-chip network latency/contention model;
 //! * [`dram`] — main-memory model;
-//! * [`energy`] — event-based dynamic-energy model;
+//! * [`energy`] — event-based dynamic-energy model (a module of `system`);
 //! * [`coherence`] — MOESI directory protocol;
 //! * [`cpu`] — out-of-order core timing model with L1;
 //! * [`workloads`] — synthetic SPEC CPU2000 analogues;
@@ -39,13 +39,13 @@ pub use bap_coherence as coherence;
 pub use bap_core as partitioning;
 pub use bap_cpu as cpu;
 pub use bap_dram as dram;
-pub use bap_energy as energy;
 pub use bap_fault as fault;
 pub use bap_guard as guard;
 pub use bap_msa as msa;
 pub use bap_noc as noc;
 pub use bap_recovery as recovery;
 pub use bap_system as system;
+pub use bap_system::energy;
 pub use bap_trace as trace;
 pub use bap_types as types;
 pub use bap_workloads as workloads;
