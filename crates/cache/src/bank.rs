@@ -32,9 +32,6 @@ pub struct CacheBank {
     way_owners: Vec<CoreSet>,
     /// Per-core hit/miss counters (indexed by core).
     stats: Vec<CacheStats>,
-    /// Lines written into this bank (fills + demotions), for migration and
-    /// power accounting.
-    fills: u64,
 }
 
 impl CacheBank {
@@ -57,7 +54,6 @@ impl CacheBank {
             storage: SetAssocCache::with_policy(geom, policy, id.index() as u64),
             way_owners: vec![CoreSet::all(num_cores); geom.ways],
             stats: vec![CacheStats::default(); num_cores],
-            fills: 0,
         }
     }
 
@@ -110,7 +106,6 @@ impl CacheBank {
     /// returning the displaced line (if any). Panics if the core owns no
     /// way in this bank — plans are validated before being applied.
     pub fn fill(&mut self, block: BlockAddr, core: CoreId, dirty: bool) -> Option<EvictedLine<()>> {
-        self.fills += 1;
         let owners = &self.way_owners;
         self.storage
             .fill(block, core, dirty, (), |w| owners[w].contains(core))
@@ -125,7 +120,6 @@ impl CacheBank {
         core: CoreId,
         dirty: bool,
     ) -> Option<EvictedLine<()>> {
-        self.fills += 1;
         self.storage.fill(block, core, dirty, (), |_| true)
     }
 
@@ -138,7 +132,6 @@ impl CacheBank {
         dirty: bool,
         mask: CoreSet,
     ) -> Option<EvictedLine<()>> {
-        self.fills += 1;
         let owners = &self.way_owners;
         self.storage
             .fill(block, core, dirty, (), |w| !(owners[w] & mask).is_empty())
@@ -161,11 +154,6 @@ impl CacheBank {
             t += *s;
         }
         t
-    }
-
-    /// Total line installs (fills + demotions) since construction.
-    pub fn fills(&self) -> u64 {
-        self.fills
     }
 
     /// Number of resident lines.
@@ -199,7 +187,6 @@ impl CacheBank {
         for s in &mut self.stats {
             *s = CacheStats::default();
         }
-        self.fills = 0;
     }
 }
 
@@ -299,7 +286,6 @@ mod tests {
         b.fill(blk(0), CoreId(0), false);
         b.reset_stats();
         assert_eq!(b.total_stats().accesses(), 0);
-        assert_eq!(b.fills(), 0);
         // Contents survive a stats reset.
         assert!(b.probe(blk(0)));
     }

@@ -231,7 +231,8 @@ impl CoherentCluster {
         fn unsorted<T: serde::Deserialize>(
             v: &serde::Value,
         ) -> Result<HashMap<BlockAddr, T>, serde::Error> {
-            let pairs: Vec<(BlockAddr, T)> = serde::Deserialize::from_value(v)?;
+            let pairs: Vec<(BlockAddr, T)> =
+                serde::Deserialize::deserialize(&mut serde::Reader::from_tree(v))?;
             Ok(pairs.into_iter().collect())
         }
         fn per_core<T: serde::Deserialize>(

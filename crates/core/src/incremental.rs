@@ -532,7 +532,8 @@ mod tests {
         let mut inc = IncrementalSolver::new();
         warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
         let v = serde::Serialize::to_value(&inc);
-        let mut restored: IncrementalSolver = serde::Deserialize::from_value(&v).unwrap();
+        let mut restored: IncrementalSolver =
+            serde::Deserialize::deserialize(&mut serde::Reader::from_tree(&v)).unwrap();
         assert!(restored.is_warm());
         // The restored solver goes on reusing shards, no cold re-solve.
         let plan = warm_solve(&mut restored, &curves, &machine, &Tracer::off(), 0.0);

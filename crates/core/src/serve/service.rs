@@ -589,8 +589,10 @@ impl DecisionService {
     fn handle_checkpoint(&mut self) -> ResponseKind {
         let cp = self.checkpoint();
         let bytes = self.history.push(&cp);
-        if let Some(path) = self.cfg.checkpoint_path.clone() {
-            if let Err(e) = bap_recovery::save_checkpoint_file(&path, &cp) {
+        if let Some(path) = &self.cfg.checkpoint_path {
+            // The file gets the bytes the ring just encoded.
+            let encoded = self.history.newest().expect("a checkpoint was just pushed");
+            if let Err(e) = bap_recovery::save_checkpoint_file(path, encoded) {
                 return ResponseKind::error("checkpoint_failed", e.to_string());
             }
         }
@@ -1116,6 +1118,35 @@ pub(crate) mod tests {
         let (rung, tick) = svc.recover().expect("older checkpoint survives");
         assert_eq!(rung, RecoveryRung::Older);
         assert_eq!(tick, 1, "first checkpoint covered tick 1");
+    }
+
+    #[test]
+    fn the_checkpoint_file_holds_the_rings_newest_bytes() {
+        let dir = std::env::temp_dir().join(format!("bap_service_cp_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("serve.cp");
+        let mut svc = DecisionService::new(ServeConfig {
+            checkpoint_path: Some(path.clone()),
+            ..ServeConfig::default()
+        });
+        let out = svc.process_batch(&[
+            req(
+                1,
+                RequestKind::Open {
+                    session: 1,
+                    cores: 8,
+                },
+            ),
+            snapshot(2, 1, 5),
+            req(3, RequestKind::Checkpoint),
+        ]);
+        let ResponseKind::Checkpointed { bytes, .. } = out[2].kind else {
+            panic!("expected checkpointed, got {:?}", out[2].kind);
+        };
+        let on_disk = std::fs::read(&path).expect("checkpoint file written");
+        assert_eq!(Some(on_disk.as_slice()), svc.history.newest());
+        assert_eq!(on_disk.len(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn snapshot(id: u64, session: u64, seed: u64) -> WireRequest {

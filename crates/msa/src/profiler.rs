@@ -203,6 +203,15 @@ struct EngineRepr {
     stacks: Vec<Vec<u64>>,
 }
 
+/// A serialized [`StackProfiler`], before its engine is rebuilt.
+#[derive(Deserialize)]
+struct ProfilerRepr {
+    cfg: ProfilerConfig,
+    engine: EngineRepr,
+    histogram: MsaHistogram,
+    total_accesses: u64,
+}
+
 /// A per-core stack-distance profiler.
 #[derive(Clone, Debug)]
 pub struct StackProfiler {
@@ -225,14 +234,13 @@ impl Serialize for StackProfiler {
 }
 
 impl Deserialize for StackProfiler {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let cfg: ProfilerConfig = serde::from_field(v, "cfg")?;
-        let repr: EngineRepr = serde::from_field(v, "engine")?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let p = ProfilerRepr::deserialize(r)?;
         Ok(StackProfiler {
-            engine: Engine::from_stacks(repr.kind, repr.stacks, cfg.max_ways),
-            cfg,
-            histogram: serde::from_field(v, "histogram")?,
-            total_accesses: serde::from_field(v, "total_accesses")?,
+            engine: Engine::from_stacks(p.engine.kind, p.engine.stacks, p.cfg.max_ways),
+            cfg: p.cfg,
+            histogram: p.histogram,
+            total_accesses: p.total_accesses,
         })
     }
 }

@@ -179,7 +179,8 @@ impl Checkpoint {
     }
 }
 
-/// Persist an encoded checkpoint to a file, atomically *and durably*:
+/// Persist encoded checkpoint bytes ([`Checkpoint::encode`]) to a file,
+/// atomically *and durably*:
 /// write to `<path>.tmp`, fsync the tmp file, rename over the destination,
 /// then fsync the parent directory. The rename alone only orders the two
 /// names in memory — without the data fsync a host crash right after a
@@ -187,17 +188,13 @@ impl Checkpoint {
 /// final name, and without the directory fsync the rename itself can
 /// vanish. Torn writes that survive anyway are caught by the checksum on
 /// load. Used by the `bap serve` restart story and the replication-log
-/// anchor.
-pub fn save_checkpoint_file(
-    path: &std::path::Path,
-    cp: &Checkpoint,
-) -> Result<usize, RecoveryError> {
+/// anchor. Returns the number of bytes written.
+pub fn save_checkpoint_file(path: &std::path::Path, bytes: &[u8]) -> Result<usize, RecoveryError> {
     use std::io::Write;
-    let bytes = cp.encode();
     let tmp = path.with_extension("tmp");
     let mut file = std::fs::File::create(&tmp)
         .map_err(|e| RecoveryError::Io(format!("create {}: {e}", tmp.display())))?;
-    file.write_all(&bytes)
+    file.write_all(bytes)
         .map_err(|e| RecoveryError::Io(format!("write {}: {e}", tmp.display())))?;
     // Data must be on stable storage before the rename publishes the name.
     file.sync_all()
@@ -300,6 +297,11 @@ impl RecoveryManager {
         }
         self.slots.push_back(bytes);
         n
+    }
+
+    /// The newest retained checkpoint's encoded bytes.
+    pub fn newest(&self) -> Option<&[u8]> {
+        self.slots.back().map(Vec::as_slice)
     }
 
     /// Number of retained checkpoints.
@@ -498,13 +500,13 @@ mod tests {
         let path = dir.join("server.ckpt");
 
         let cp = Checkpoint::new(9, payload(33));
-        let bytes = save_checkpoint_file(&path, &cp).unwrap();
+        let bytes = save_checkpoint_file(&path, &cp.encode()).unwrap();
         assert_eq!(bytes, cp.encode().len());
         assert_eq!(load_checkpoint_file(&path).unwrap(), cp);
 
         // Overwrite goes through the tmp+rename path and replaces cleanly.
         let cp2 = Checkpoint::new(10, payload(34));
-        save_checkpoint_file(&path, &cp2).unwrap();
+        save_checkpoint_file(&path, &cp2.encode()).unwrap();
         assert_eq!(load_checkpoint_file(&path).unwrap().epoch, 10);
 
         // Missing file: typed Io error, no panic.
@@ -522,6 +524,16 @@ mod tests {
         assert!(load_checkpoint_file(&path).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn newest_is_the_last_push_encoded() {
+        let mut mgr = RecoveryManager::new(2);
+        assert_eq!(mgr.newest(), None);
+        mgr.push(&Checkpoint::new(1, payload(1)));
+        let cp = Checkpoint::new(2, payload(2));
+        mgr.push(&cp);
+        assert_eq!(mgr.newest(), Some(cp.encode().as_slice()));
     }
 
     #[test]

@@ -251,11 +251,12 @@ pub struct WireLogEntry {
 /// (batch number) that served it — informational only, it depends on how
 /// requests happened to batch and is excluded from determinism contracts.
 ///
-/// `Serialize`/`Deserialize` are written by hand (not derived) so `term`
-/// is omitted entirely when `None`: an unreplicated server's lines stay
+/// `Serialize` is written by hand (not derived) so `term` is omitted
+/// entirely when `None`: an unreplicated server's lines stay
 /// byte-identical to the pre-replication protocol, which the golden
-/// figures and `tests/serve_replication.rs` pin.
-#[derive(Clone, Debug, PartialEq)]
+/// figures and `tests/serve_replication.rs` pin. Decoding is derived: a
+/// missing `term` already reads as `None`.
+#[derive(Clone, Debug, PartialEq, Deserialize)]
 pub struct WireResponse {
     /// The request this answers.
     pub id: u64,
@@ -281,17 +282,6 @@ impl Serialize for WireResponse {
         }
         members.push(("kind".to_string(), self.kind.to_value()));
         serde::Value::Object(members)
-    }
-}
-
-impl Deserialize for WireResponse {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(WireResponse {
-            id: serde::from_field(v, "id")?,
-            tick: serde::from_field(v, "tick")?,
-            term: serde::from_field(v, "term")?,
-            kind: serde::from_field(v, "kind")?,
-        })
     }
 }
 
@@ -559,8 +549,11 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let digits: Vec<u32> = s.chars().map(|c| c.to_digit(16)).collect::<Option<_>>()?;
-    Some(digits.chunks(2).map(|p| (p[0] * 16 + p[1]) as u8).collect())
+    let digit = |b: u8| char::from(b).to_digit(16);
+    s.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Some((digit(pair[0])? * 16 + digit(pair[1])?) as u8))
+        .collect()
 }
 
 /// Why a request line could not be decoded.
@@ -842,6 +835,10 @@ mod tests {
         assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
         assert!(from_hex("abc").is_none(), "odd length");
         assert!(from_hex("zz").is_none(), "non-hex digit");
+        assert_eq!(from_hex("A0fF").unwrap(), vec![0xA0, 0xFF], "either case");
+        // A multi-byte character is never a digit, even where its bytes
+        // straddle a pair boundary.
+        assert!(from_hex("0é0").is_none(), "non-ASCII");
     }
 
     #[test]

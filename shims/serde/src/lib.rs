@@ -1,17 +1,24 @@
 //! Offline shim of the `serde` crate.
 //!
 //! Real serde is a zero-copy framework generic over data formats; this shim
-//! collapses the data model to one owned tree ([`Value`]) because the only
-//! format the workspace uses is JSON. [`Serialize`] renders into a `Value`,
-//! [`Deserialize`] reads back out of one, and the companion `serde_json`
-//! shim handles text. The derive macros come from the local `serde_derive`
-//! proc-macro crate and are re-exported here so `use serde::{Serialize,
-//! Deserialize}` imports trait and macro together, exactly like upstream.
+//! serves the one format the workspace uses, JSON. [`Serialize`] renders
+//! into an owned tree ([`Value`]) that the companion `serde_json` shim
+//! writes out as text. [`Deserialize`] pulls from a [`Reader`], which reads
+//! either JSON text or an existing `Value` tree: `serde_json::from_str`
+//! decodes members straight into the target type and builds a tree only
+//! when the target is `Value`, while the hand-built checkpoint payloads are
+//! walked as trees through [`from_field`] and [`from_field_or_default`].
+//! The derive macros come from the local `serde_derive` proc-macro crate
+//! and are re-exported here so `use serde::{Serialize, Deserialize}`
+//! imports trait and macro together, exactly like upstream.
 
 use std::collections::HashMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod read;
+pub use read::Reader;
 
 /// The serialized data tree (JSON data model).
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -34,7 +41,7 @@ pub enum Value {
 }
 
 /// Serialization/deserialization error: a human-readable description of the
-/// first mismatch between the value tree and the target type.
+/// first mismatch between the input and the target type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Error(pub String);
 
@@ -59,10 +66,10 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Rebuild `Self` from a [`Value`] tree.
+/// Read `Self` from JSON text or a [`Value`] tree.
 pub trait Deserialize: Sized {
-    /// Parse the tree; errors describe the first mismatch.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Read one value from `r`; errors describe the first mismatch.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 /// Deserializer-side re-exports (`serde::de::DeserializeOwned` bounds).
@@ -102,14 +109,6 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `i64`, if an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => i64::try_from(*i).ok(),
             _ => None,
         }
     }
@@ -201,23 +200,20 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_value()
     }
 }
 
-// ---- Derive-support helpers (called from generated code). ----
+// ---- Tree helpers for hand-written restore code. ----
 
-/// Look up a struct field; a missing member reads as `null` so `Option`
-/// fields deserialize to `None` (other types report the absence).
+/// Read a struct field out of an object tree; a missing member reads as
+/// `null`, so `Option` fields deserialize to `None` (other types report
+/// the absence).
 pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
     match v {
-        Value::Object(_) => T::from_value(v.get(name).unwrap_or(&NULL))
-            .map_err(|e| Error(format!("field {name:?}: {e}"))),
-        other => Err(Error(format!(
-            "expected object with field {name:?}, got {}",
-            other.kind()
-        ))),
+        Value::Object(_) => read_tree(v.get(name).unwrap_or(&NULL)).map_err(|e| in_field(name, e)),
+        other => Err(no_field(name, other)),
     }
 }
 
@@ -226,25 +222,70 @@ pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
 pub fn from_field_or_default<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, Error> {
     match v {
         Value::Object(_) => match v.get(name) {
-            Some(m) => T::from_value(m).map_err(|e| Error(format!("field {name:?}: {e}"))),
+            Some(m) => read_tree(m).map_err(|e| in_field(name, e)),
             None => Ok(T::default()),
         },
-        other => Err(Error(format!(
-            "expected object with field {name:?}, got {}",
-            other.kind()
-        ))),
+        other => Err(no_field(name, other)),
     }
 }
 
-/// Positional lookup for tuple structs / tuple enum variants.
-pub fn from_index<T: Deserialize>(v: &Value, idx: usize) -> Result<T, Error> {
-    match v {
-        Value::Array(a) => match a.get(idx) {
-            Some(m) => T::from_value(m).map_err(|e| Error(format!("index {idx}: {e}"))),
-            None => Err(Error(format!("missing tuple element {idx}"))),
-        },
-        other => Err(Error(format!("expected array, got {}", other.kind()))),
+fn read_tree<T: Deserialize>(v: &Value) -> Result<T, Error> {
+    T::deserialize(&mut Reader::from_tree(v))
+}
+
+fn in_field(name: &str, e: Error) -> Error {
+    Error(format!("field {name:?}: {e}"))
+}
+
+fn no_field(name: &str, v: &Value) -> Error {
+    Error(format!(
+        "expected object with field {name:?}, got {}",
+        v.kind()
+    ))
+}
+
+// ---- Derive support (called from generated code). ----
+
+/// Read a struct field's member into its slot. The first occurrence of a
+/// member wins; a duplicate is only checked to be valid.
+#[doc(hidden)]
+pub fn read_member<T: Deserialize>(
+    slot: &mut Option<T>,
+    name: &str,
+    r: &mut Reader<'_>,
+) -> Result<(), Error> {
+    if slot.is_some() {
+        return r.skip();
     }
+    *slot = Some(T::deserialize(r).map_err(|e| in_field(name, e))?);
+    Ok(())
+}
+
+/// A struct field's value once its object is read: a missing member
+/// reads as `null`.
+#[doc(hidden)]
+pub fn member<T: Deserialize>(slot: Option<T>, name: &str) -> Result<T, Error> {
+    match slot {
+        Some(v) => Ok(v),
+        None => read_tree(&NULL).map_err(|e| in_field(name, e)),
+    }
+}
+
+/// Read a tuple element into its slot.
+#[doc(hidden)]
+pub fn read_element<T: Deserialize>(
+    slot: &mut Option<T>,
+    idx: usize,
+    r: &mut Reader<'_>,
+) -> Result<(), Error> {
+    *slot = Some(T::deserialize(r).map_err(|e| Error(format!("index {idx}: {e}")))?);
+    Ok(())
+}
+
+/// A tuple element's value once its array is read.
+#[doc(hidden)]
+pub fn element<T>(slot: Option<T>, idx: usize) -> Result<T, Error> {
+    slot.ok_or_else(|| Error(format!("missing tuple element {idx}")))
 }
 
 // ---- Serialize/Deserialize impls for std types. ----
@@ -256,8 +297,8 @@ impl Serialize for () {
 }
 
 impl Deserialize for () {
-    fn from_value(_v: &Value) -> Result<Self, Error> {
-        Ok(())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.skip()
     }
 }
 
@@ -268,9 +309,8 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_bool()
-            .ok_or_else(|| Error(format!("expected bool, got {}", v.kind())))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_bool()
     }
 }
 
@@ -282,14 +322,9 @@ macro_rules! impl_ints {
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error(format!("integer {i} out of range"))),
-                    other => Err(Error(format!(
-                        "expected integer, got {}", other.kind()
-                    ))),
-                }
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let i = r.read_int()?;
+                <$t>::try_from(i).map_err(|_| Error(format!("integer {i} out of range")))
             }
         }
     )*};
@@ -303,14 +338,8 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            // JSON cannot represent NaN/infinity; serde_json writes null.
-            Value::Null => Ok(f64::NAN),
-            _ => v
-                .as_f64()
-                .ok_or_else(|| Error(format!("expected number, got {}", v.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_f64()
     }
 }
 
@@ -321,8 +350,8 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_f64().map(|f| f as f32)
     }
 }
 
@@ -333,10 +362,8 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error(format!("expected string, got {}", v.kind())))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.read_string()
     }
 }
 
@@ -362,10 +389,11 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.read_null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
@@ -377,11 +405,13 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error(format!("expected array, got {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut items = Vec::new();
+        r.read_seq(|_, r| {
+            items.push(T::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -398,8 +428,8 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
 }
 
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = Vec::<T>::from_value(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let items = Vec::<T>::deserialize(r)?;
         let got = items.len();
         items
             .try_into()
@@ -414,11 +444,8 @@ impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
 }
 
 impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(a) => a.iter().map(T::from_value).collect(),
-            other => Err(Error(format!("expected array, got {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Vec::<T>::deserialize(r).map(Into::into)
     }
 }
 
@@ -435,14 +462,14 @@ impl<V: Serialize> Serialize for HashMap<String, V> {
 }
 
 impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(o) => o
-                .iter()
-                .map(|(k, m)| Ok((k.clone(), V::from_value(m)?)))
-                .collect(),
-            other => Err(Error(format!("expected object, got {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut map = HashMap::new();
+        // A repeated key keeps its last value.
+        r.read_map(|k, r| {
+            map.insert(k.to_string(), V::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -458,14 +485,14 @@ impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
 }
 
 impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(o) => o
-                .iter()
-                .map(|(k, m)| Ok((k.clone(), V::from_value(m)?)))
-                .collect(),
-            other => Err(Error(format!("expected object, got {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let mut map = std::collections::BTreeMap::new();
+        // A repeated key keeps its last value.
+        r.read_map(|k, r| {
+            map.insert(k.to_string(), V::deserialize(r)?);
+            Ok(())
+        })?;
+        Ok(map)
     }
 }
 
@@ -477,8 +504,15 @@ macro_rules! impl_tuples {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                Ok(($(from_index::<$t>(v, $i)?,)+))
+            #[allow(non_snake_case)]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                $(let mut $t = None;)+
+                // Elements past the tuple's arity are ignored.
+                r.read_seq(|i, r| match i {
+                    $($i => read_element(&mut $t, $i, r),)+
+                    _ => r.skip(),
+                })?;
+                Ok(($(element($t, $i)?,)+))
             }
         }
     )*};
@@ -498,28 +532,28 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
+        assert_eq!(read_tree::<u64>(&42u64.to_value()).unwrap(), 42);
+        assert_eq!(read_tree::<f64>(&1.5f64.to_value()).unwrap(), 1.5);
+        assert!(read_tree::<bool>(&true.to_value()).unwrap());
         assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
+            read_tree::<String>(&"hi".to_string().to_value()).unwrap(),
             "hi"
         );
     }
 
     #[test]
     fn out_of_range_integers_error() {
-        assert!(u8::from_value(&Value::Int(300)).is_err());
-        assert!(u64::from_value(&Value::Int(-1)).is_err());
+        assert!(read_tree::<u8>(&Value::Int(300)).is_err());
+        assert!(read_tree::<u64>(&Value::Int(-1)).is_err());
     }
 
     #[test]
     fn option_and_vec_round_trip() {
         let v: Option<u32> = None;
         assert_eq!(v.to_value(), Value::Null);
-        assert_eq!(Option::<u32>::from_value(&Value::Null).unwrap(), None);
+        assert_eq!(read_tree::<Option<u32>>(&Value::Null).unwrap(), None);
         let xs = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::from_value(&xs.to_value()).unwrap(), xs);
+        assert_eq!(read_tree::<Vec<u32>>(&xs.to_value()).unwrap(), xs);
     }
 
     #[test]
@@ -531,10 +565,7 @@ mod tests {
             panic!()
         };
         assert_eq!(pairs[0].0, "a");
-        assert_eq!(
-            HashMap::<String, u32>::from_value(&m.to_value()).unwrap(),
-            m
-        );
+        assert_eq!(read_tree::<HashMap<String, u32>>(&m.to_value()).unwrap(), m);
     }
 
     #[test]
@@ -550,7 +581,7 @@ mod tests {
     #[test]
     fn nan_round_trips_as_null() {
         assert_eq!(f64::NAN.to_value().kind(), "float");
-        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+        assert!(read_tree::<f64>(&Value::Null).unwrap().is_nan());
     }
 
     #[test]

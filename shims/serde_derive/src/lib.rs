@@ -1,13 +1,15 @@
 //! Offline shim of `serde_derive`.
 //!
-//! Generates impls of the local serde shim's `Serialize`/`Deserialize`
-//! traits (a single owned `Value` tree, no format generality), parsing the
-//! item with hand-rolled `proc_macro` token walking instead of `syn`. The
-//! trick that keeps this small: generated code never needs to *name* field
-//! types, because the serde shim exposes type-inferred helpers
-//! (`serde::from_field::<T>`), so the parser only records field names,
-//! arities, and whether `#[serde(default)]` is present — types are skipped
-//! by bracket-depth counting.
+//! Generates impls of the local serde shim's `Serialize` (render into a
+//! `Value` tree) and `Deserialize` (pull from a `serde::Reader`, over JSON
+//! text or a tree) traits, parsing the item with hand-rolled `proc_macro`
+//! token walking instead of `syn`. The trick that keeps this small:
+//! generated code never needs to *name* field types. A decoded struct
+//! reads each member into an `Option` slot through type-inferred helpers
+//! (`serde::read_member`, then `serde::member` once the object is read),
+//! so the parser only records field names, arities, and whether
+//! `#[serde(default)]` is present — types are skipped by bracket-depth
+//! counting.
 //!
 //! Supported shapes (all the workspace uses): named structs, tuple structs
 //! (newtypes serialize transparently), unit structs, and enums with unit /
@@ -430,104 +432,111 @@ fn gen_deserialize(item: &Item) -> String {
     let (impl_g, ty_g) = generics_strings(item, "::serde::Deserialize");
     let name = &item.name;
     let body = match &item.body {
-        Body::Named(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    let helper = if f.default {
-                        "from_field_or_default"
-                    } else {
-                        "from_field"
-                    };
-                    format!("{0}: ::serde::{helper}(v, \"{0}\")?,", f.name)
-                })
-                .collect();
-            format!("::std::result::Result::Ok(Self {{ {} }})", inits.join(" "))
-        }
+        Body::Named(fields) => read_named(fields, "Self"),
         Body::Tuple(1) => {
-            "::std::result::Result::Ok(Self(::serde::Deserialize::from_value(v)?))".to_string()
+            "::std::result::Result::Ok(Self(::serde::Deserialize::deserialize(__r)?))".to_string()
         }
-        Body::Tuple(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::from_index(v, {i})?"))
-                .collect();
-            format!("::std::result::Result::Ok(Self({}))", elems.join(", "))
-        }
-        Body::Unit => "::std::result::Result::Ok(Self)".to_string(),
+        Body::Tuple(n) => read_tuple(*n, "Self"),
+        Body::Unit => "__r.skip()?; ::std::result::Result::Ok(Self)".to_string(),
         Body::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
+            let arms: Vec<String> = variants
                 .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| format!("\"{0}\" => ::std::result::Result::Ok(Self::{0}),", v.name))
-                .collect();
-            let tagged_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
+                .map(|v| {
                     let vn = &v.name;
+                    let path = format!("Self::{vn}");
                     match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "\"{vn}\" => ::std::result::Result::Ok(Self::{vn}(::serde::Deserialize::from_value(__inner)?)),"
-                        )),
-                        VariantKind::Tuple(n) => {
-                            let elems: Vec<String> = (0..*n)
-                                .map(|i| format!("::serde::from_index(__inner, {i})?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok(Self::{vn}({})),",
-                                elems.join(", ")
-                            ))
-                        }
-                        VariantKind::Named(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    let helper = if f.default {
-                                        "from_field_or_default"
-                                    } else {
-                                        "from_field"
-                                    };
-                                    format!(
-                                        "{0}: ::serde::{helper}(__inner, \"{0}\")?,",
-                                        f.name
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vn}\" => ::std::result::Result::Ok(Self::{vn} {{ {} }}),",
-                                inits.join(" ")
-                            ))
-                        }
+                        VariantKind::Unit => format!(
+                            "(\"{vn}\", ::std::option::Option::None) => ::std::result::Result::Ok({path}),"
+                        ),
+                        VariantKind::Tuple(1) => format!(
+                            "(\"{vn}\", ::std::option::Option::Some(__r)) => ::std::result::Result::Ok({path}(::serde::Deserialize::deserialize(__r)?)),"
+                        ),
+                        VariantKind::Tuple(n) => format!(
+                            "(\"{vn}\", ::std::option::Option::Some(__r)) => {{ {} }}",
+                            read_tuple(*n, &path)
+                        ),
+                        VariantKind::Named(fields) => format!(
+                            "(\"{vn}\", ::std::option::Option::Some(__r)) => {{ {} }}",
+                            read_named(fields, &path)
+                        ),
                     }
                 })
                 .collect();
             format!(
-                "match v {{ \
-                    ::serde::Value::Str(__s) => match __s.as_str() {{ \
-                        {unit} \
-                        __other => ::std::result::Result::Err(::serde::Error::msg(\
-                            ::std::format!(\"unknown variant {{:?}} for {name}\", __other))), \
-                    }}, \
-                    ::serde::Value::Object(__pairs) if __pairs.len() == 1 => {{ \
-                        let (__tag, __inner) = &__pairs[0]; \
-                        match __tag.as_str() {{ \
-                            {tagged} \
-                            __other => ::std::result::Result::Err(::serde::Error::msg(\
-                                ::std::format!(\"unknown variant {{:?}} for {name}\", __other))), \
-                        }} \
-                    }}, \
-                    __other => ::std::result::Result::Err(::serde::Error::msg(\
-                        ::std::format!(\"expected {name} variant, got {{}}\", __other.kind()))), \
-                }}",
-                unit = unit_arms.join(" "),
-                tagged = tagged_arms.join(" "),
+                "__r.read_variant(\"{name}\", |__tag, __payload| match (__tag, __payload) {{ \
+                    {arms} \
+                    (__other, _) => ::std::result::Result::Err(::serde::Error::msg(\
+                        ::std::format!(\"unknown variant {{:?}} for {name}\", __other))), \
+                }})",
+                arms = arms.join(" "),
             )
         }
     };
     let where_c = &item.where_clause;
     format!(
         "impl{impl_g} ::serde::Deserialize for {name}{ty_g} {where_c} {{ \
-            fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} \
+            fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} \
         }}"
+    )
+}
+
+/// Statements reading the object at `__r` into the named-field struct or
+/// variant `path`: each known member into its slot, unknown members
+/// skipped. A struct without fields accepts any value.
+fn read_named(fields: &[Field], path: &str) -> String {
+    if fields.is_empty() {
+        return format!("__r.skip()?; ::std::result::Result::Ok({path} {{}})");
+    }
+    let slots: String = (0..fields.len())
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None; "))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "\"{0}\" => ::serde::read_member(&mut __f{i}, \"{0}\", __r), ",
+                f.name
+            )
+        })
+        .collect();
+    let inits: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            if f.default {
+                format!("{}: __f{i}.unwrap_or_default(), ", f.name)
+            } else {
+                format!("{0}: ::serde::member(__f{i}, \"{0}\")?, ", f.name)
+            }
+        })
+        .collect();
+    format!(
+        "{slots} \
+        __r.read_map(|__k, __r| match __k {{ {arms} _ => __r.skip(), }})?; \
+        ::std::result::Result::Ok({path} {{ {inits} }})"
+    )
+}
+
+/// Statements reading the array at `__r` into the `n`-field tuple struct
+/// or variant `path`; elements past `n` are skipped.
+fn read_tuple(n: usize, path: &str) -> String {
+    if n == 0 {
+        return format!("__r.skip()?; ::std::result::Result::Ok({path}())");
+    }
+    let slots: String = (0..n)
+        .map(|i| format!("let mut __f{i} = ::std::option::Option::None; "))
+        .collect();
+    let arms: String = (0..n)
+        .map(|i| format!("{i} => ::serde::read_element(&mut __f{i}, {i}, __r), "))
+        .collect();
+    let elems: Vec<String> = (0..n)
+        .map(|i| format!("::serde::element(__f{i}, {i})?"))
+        .collect();
+    format!(
+        "{slots} \
+        __r.read_seq(|__i, __r| match __i {{ {arms} _ => __r.skip(), }})?; \
+        ::std::result::Result::Ok({path}({}))",
+        elems.join(", ")
     )
 }

@@ -1,11 +1,13 @@
 //! Offline shim of the `serde_json` crate.
 //!
-//! Renders the local serde shim's [`Value`] tree to JSON text and parses it
-//! back: `to_string`, `to_string_pretty`, `from_str`, and a `json!` macro
-//! covering the object/array/expression forms the workspace uses. Numbers
-//! keep their integer-ness where possible; non-finite floats serialize as
-//! `null` (as real serde_json's `json!` does), which downstream validation
-//! treats as corruption.
+//! Writes the local serde shim's [`Value`] tree as JSON text (`to_string`,
+//! `to_string_pretty`, and a `json!` macro covering the object/array/
+//! expression forms the workspace uses) and reads text back with
+//! `from_str`, which hands the text to the serde shim's pull
+//! [`serde::Reader`]: members decode straight into the target type, and a
+//! tree is built only when the target is `Value`. Numbers keep their
+//! integer-ness where possible; non-finite floats serialize as `null` (as
+//! real serde_json's `json!` does) and read back as NaN.
 
 use std::fmt;
 
@@ -57,21 +59,10 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
 
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!(
-            "trailing characters at byte {} of JSON input",
-            p.pos
-        )));
-    }
-    Ok(T::from_value(&v)?)
+    let mut r = serde::Reader::from_text(text);
+    let v = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(v)
 }
 
 /// Build a [`Value`] from JSON-ish syntax. Supports `null`, objects with
@@ -174,260 +165,6 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-// ---- Parser ----
-
-/// Deepest array/object nesting [`from_str`] accepts (upstream
-/// serde_json's default). Arrays and objects parse recursively, so a
-/// deeper input would overflow the stack instead of failing typed.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// Arrays and objects currently open around `pos`.
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected {:?} at byte {} of JSON input",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(Error(format!(
-                "unexpected character {:?} at byte {} of JSON input",
-                c as char, self.pos
-            ))),
-            None => Err(Error("unexpected end of JSON input".to_string())),
-        }
-    }
-
-    /// Parse an array or object one nesting level deeper.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
-        if self.depth == MAX_DEPTH {
-            return Err(Error(format!(
-                "recursion limit exceeded at byte {} of JSON input",
-                self.pos
-            )));
-        }
-        self.depth += 1;
-        let v = parse(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error(format!(
-                        "expected ',' or ']' at byte {} of JSON input",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error(format!(
-                        "expected ',' or '}}' at byte {} of JSON input",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy everything up to the next quote or backslash as one
-            // run. Both stop bytes are ASCII and the input is a &str, so
-            // the run is whole UTF-8 characters.
-            let start = self.pos;
-            let rest = &self.bytes[start..];
-            self.pos += rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(rest.len());
-            let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| Error("invalid UTF-8 in JSON string".to_string()))?;
-            out.push_str(run);
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| {
-                        Error("unexpected end of JSON input in string escape".to_string())
-                    })?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair.
-                                if !self.eat_keyword("\\u") {
-                                    return Err(Error(
-                                        "unpaired surrogate in JSON string".to_string(),
-                                    ));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error(format!(
-                                        "invalid low surrogate U+{lo:04X} in JSON string"
-                                    )));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(char::from_u32(code).ok_or_else(|| {
-                                Error(format!("invalid unicode escape U+{code:04X}"))
-                            })?);
-                        }
-                        other => {
-                            return Err(Error(format!("invalid string escape \\{}", other as char)))
-                        }
-                    }
-                }
-                _ => return Err(Error("unexpected end of JSON input in string".to_string())),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error("truncated \\u escape in JSON string".to_string()));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error("invalid \\u escape".to_string()))?;
-        self.pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|_| Error(format!("invalid \\u escape {hex:?}")))
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid number".to_string()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .map_err(|_| Error(format!("invalid number {text:?}")))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,13 +248,17 @@ mod tests {
 
     #[test]
     fn nesting_past_the_limit_is_a_typed_error() {
+        // The reader's limit is 128 levels, upstream serde_json's default.
+        const MAX_DEPTH: usize = 128;
         let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
         assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
         let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
         assert!(err.0.contains("recursion limit"), "{err}");
         // Deep enough to overflow a default test thread's stack without
-        // the limit.
+        // the limit, also where the target type skips the value.
         let err = from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.0.contains("recursion limit"), "{err}");
+        let err = from_str::<()>(&"[".repeat(100_000)).unwrap_err();
         assert!(err.0.contains("recursion limit"), "{err}");
         let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
         assert!(from_str::<Value>(&objects).is_err());

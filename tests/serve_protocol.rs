@@ -259,14 +259,58 @@ fn arb_response() -> impl Strategy<Value = WireResponse> {
     )
 }
 
-/// Inject `"extra":…` fields immediately after the first `n` opening
-/// braces of an encoded line — top-level tolerance at `n = 1`, payload
-/// tolerance beyond that. Skips braces inside string literals, and skips
-/// the object directly under `"kind"`: that one is the externally tagged
-/// enum wrapper, whose single key *is* the variant tag, so extra keys
-/// there are ambiguous rather than tolerable.
-fn inject_unknown_fields(line: &str, n: usize) -> String {
-    let mut out = String::with_capacity(line.len() + 24 * n);
+/// JSON text of an arbitrary value nested up to `depth` arrays and
+/// objects deep: literals, negative and exponent numbers, `arb_string`
+/// text, strings spelling a supplementary character as an escaped
+/// surrogate pair, and arrays and objects of all of these.
+fn arb_json(depth: u32) -> BoxedStrategy<String> {
+    let quoted = |s: String| serde_json::to_string(&s).expect("strings encode");
+    let leaf = prop_oneof![
+        prop_oneof![Just("null"), Just("true"), Just("false")].prop_map(str::to_string),
+        any::<i64>().prop_map(|n| n.to_string()),
+        (-1.0e300..1.0e300f64).prop_map(|f| format!("{f:e}")),
+        (any::<i32>(), -300i32..300).prop_map(|(m, e)| format!("{m}.5E{e:+}")),
+        arb_string().prop_map(quoted),
+        (0u32..0x10_0000).prop_map(|c| {
+            format!(
+                "\"\\u{:04x}\\u{:04X}\"",
+                0xD800 + (c >> 10),
+                0xDC00 + (c & 0x3FF)
+            )
+        }),
+    ];
+    if depth == 0 {
+        return leaf.boxed();
+    }
+    let array = collection::vec(arb_json(depth - 1), 0..4)
+        .prop_map(|items| format!("[{}]", items.join(",")));
+    let object =
+        collection::vec((arb_string(), arb_json(depth - 1)), 0..4).prop_map(move |members| {
+            let members: Vec<String> = members
+                .into_iter()
+                .map(|(k, v)| format!("{}:{v}", quoted(k)))
+                .collect();
+            format!("{{{}}}", members.join(","))
+        });
+    prop_oneof![2 => leaf, 1 => array, 1 => object].boxed()
+}
+
+/// Unknown members to inject, one per opening brace reached.
+fn arb_extras() -> impl Strategy<Value = Vec<String>> {
+    collection::vec(arb_json(3), 1..4)
+}
+
+/// Inject one `"extraN":<extras[N]>` member immediately after each of the
+/// first `extras.len()` opening braces of an encoded line — top-level
+/// tolerance for the first, payload tolerance beyond that. Skips braces
+/// inside string literals, and skips the object directly under `"kind"`:
+/// that one is the externally tagged enum wrapper, whose single key *is*
+/// the variant tag, so extra keys there are ambiguous rather than
+/// tolerable.
+fn inject_unknown_fields(line: &str, extras: &[String]) -> String {
+    let n = extras.len();
+    let mut out =
+        String::with_capacity(line.len() + extras.iter().map(|e| e.len() + 12).sum::<usize>());
     let mut injected = 0;
     let (mut in_str, mut escaped) = (false, false);
     for ch in line.chars() {
@@ -284,7 +328,7 @@ fn inject_unknown_fields(line: &str, n: usize) -> String {
         if ch == '"' {
             in_str = true;
         } else if ch == '{' && injected < n && !out.ends_with("\"kind\":{") {
-            out.push_str(&format!("\"extra{injected}\":[{injected},null],"));
+            out.push_str(&format!("\"extra{injected}\":{},", extras[injected]));
             injected += 1;
         }
     }
@@ -315,15 +359,15 @@ proptest! {
     }
 
     #[test]
-    fn unknown_fields_are_tolerated(req in arb_request(), depth in 1usize..4) {
-        let line = inject_unknown_fields(&encode_request(&req), depth);
+    fn unknown_fields_are_tolerated(req in arb_request(), extras in arb_extras()) {
+        let line = inject_unknown_fields(&encode_request(&req), &extras);
         let back = parse_request_line(&line).expect("parse with extra fields");
         prop_assert_eq!(back, req);
     }
 
     #[test]
-    fn unknown_response_fields_are_tolerated(resp in arb_response(), depth in 1usize..4) {
-        let line = inject_unknown_fields(&encode_response(&resp), depth);
+    fn unknown_response_fields_are_tolerated(resp in arb_response(), extras in arb_extras()) {
+        let line = inject_unknown_fields(&encode_response(&resp), &extras);
         let back = parse_response_line(&line).expect("parse with extra fields");
         prop_assert_eq!(back, resp);
     }

@@ -263,7 +263,7 @@ fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
     let path = dir.join("serve.cp");
 
     let cp = seeded_service().checkpoint();
-    let written = save_checkpoint_file(&path, &cp).expect("save succeeds");
+    let written = save_checkpoint_file(&path, &cp.encode()).expect("save succeeds");
     assert_eq!(written, cp.encode().len(), "reported size is the payload");
     assert!(
         !path.with_extension("tmp").exists(),
@@ -282,7 +282,7 @@ fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
         },
     )]);
     let cp2 = svc.checkpoint();
-    save_checkpoint_file(&path, &cp2).expect("overwrite succeeds");
+    save_checkpoint_file(&path, &cp2.encode()).expect("overwrite succeeds");
     assert_eq!(
         load_checkpoint_file(&path).expect("reload").encode(),
         cp2.encode(),
@@ -292,7 +292,7 @@ fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
     // An unwritable destination fails typed and leaves the good file.
     let bad = dir.join("no_such_subdir").join("serve.cp");
     assert!(
-        save_checkpoint_file(&bad, &cp).is_err(),
+        save_checkpoint_file(&bad, &cp.encode()).is_err(),
         "unwritable destination must be a typed error"
     );
     assert_eq!(
