@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the `bap serve` codec: decoding request
-//! and response lines, and decoding plus restoring a checkpoint anchor.
+//! and response lines, encoding a checkpoint, and decoding plus restoring
+//! one.
 //!
 //! Every `Snapshot` the controller ingests arrives as one JSON line of
 //! per-core miss curves, so decoding is a per-request cost on both wire
-//! transports; the restore path runs when a process restarts from its
-//! checkpoint file or a follower joins from an anchor. These give each a
-//! per-layer number without the end-to-end harness.
+//! transports. A checkpoint is encoded for every `Checkpoint` request and
+//! for every follower that joins (its join anchor, encoded on the worker
+//! while clients wait); the restore path runs when a process restarts from
+//! its checkpoint file or a follower joins from an anchor. These give each
+//! a per-layer number without the end-to-end harness.
 
 use bap_core::{DecisionService, ServeConfig};
 use bap_recovery::Checkpoint;
@@ -91,10 +94,9 @@ fn bench_response_decode(c: &mut Criterion) {
     });
 }
 
-fn bench_checkpoint_restore(c: &mut Criterion) {
-    // A 128-core session that has decided a few epochs, so its profilers,
-    // plan and warm-start baselines are all populated.
-    let cfg = ServeConfig::default();
+/// A service holding one 128-core session that has decided a few epochs,
+/// so its profilers, plan and warm-start baselines are all populated.
+fn decided_128_core_service(cfg: &ServeConfig) -> DecisionService {
     let mut service = DecisionService::new(cfg.clone());
     let mut requests = vec![WireRequest::new(
         1,
@@ -108,9 +110,18 @@ fn bench_checkpoint_restore(c: &mut Criterion) {
         let answer = service.process_batch(std::slice::from_ref(req));
         assert_eq!(answer[0].kind.error_code(), None, "{:?}", answer[0].kind);
     }
+    service
+}
+
+fn bench_checkpoint(c: &mut Criterion) {
+    let cfg = ServeConfig::default();
+    let service = decided_128_core_service(&cfg);
     let bytes = service.checkpoint().encode();
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(10);
+    group.bench_function("encode_128_cores", |b| {
+        b.iter(|| black_box(&service).checkpoint().encode())
+    });
     group.bench_function("decode_restore_128_cores", |b| {
         b.iter(|| {
             let cp = Checkpoint::decode(black_box(&bytes)).expect("intact");
@@ -126,6 +137,6 @@ criterion_group!(
     benches,
     bench_request_decode,
     bench_response_decode,
-    bench_checkpoint_restore
+    bench_checkpoint
 );
 criterion_main!(benches);

@@ -6,9 +6,10 @@
 //! the faults injected around them (`bap_fault`'s seams), so the crash
 //! point is exact and reproducible from the seed:
 //!
-//! * **Divergence** — a follower joins a primary that has already
-//!   re-anchored its bounded log (cold join = checkpoint + suffix),
-//!   catches up to the primary's exact tick and plan fingerprints, then a
+//! * **Divergence** — a follower joins a primary that has already decided
+//!   a flood of epochs, from one join anchor (a checkpoint encoded at the
+//!   primary's frontier when it attaches; no replica keeps a log), tracks
+//!   the primary's exact tick and plan fingerprints, then a
 //!   `TamperRelay` on the link flips a single bit in one shipped session
 //!   digest. The follower's replay cross-check must report the divergence
 //!   and refuse promotion with the pinned `divergence` code.
@@ -72,8 +73,8 @@ struct FailoverStats {
     promote_term: u64,
     divergences_detected: u64,
     promote_refused_on_divergence: bool,
-    anchor_tick_after_rollover: u64,
-    log_entries_bound: usize,
+    joiner_anchor_tick: u64,
+    primary_log_entries: usize,
     fenced_rejections: usize,
     gave_up: usize,
     byte_identical_responses: usize,
@@ -198,11 +199,10 @@ fn fail(args: &Args, violation: &str) -> ! {
     std::process::exit(1);
 }
 
-fn repl_cfg(follower: bool, log_capacity: usize) -> ServeConfig {
+fn repl_cfg(follower: bool) -> ServeConfig {
     ServeConfig {
         replication: Some(ReplicationConfig {
             follower,
-            log_capacity,
             ack_timeout_ms: 500,
         }),
         ..ServeConfig::default()
@@ -226,23 +226,22 @@ fn flip_first_digest(item: &mut ReplItem) -> bool {
     }
 }
 
-/// Scenario 1: bounded-log catch-up, the digest cross-check, and the
+/// Scenario 1: the join from an anchor, the digest cross-check, and the
 /// `divergence` promotion refusal. Returns (divergences seen, refusal
-/// observed, anchor tick after rollover, retained log entries).
+/// observed, the joiner's anchor tick, the primary's retained log
+/// entries).
 fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
-    const LOG_CAPACITY: usize = 8;
     let seed = args.seed;
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, LOG_CAPACITY)));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, LOG_CAPACITY)));
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     let pconn = primary.client();
     let fconn = follower.client();
     // The replication link runs through a relay that can flip one bit in
     // a shipped digest.
     let (link, flip) = TamperRelay::spawn(follower.repl_sink(), flip_first_digest);
 
-    // Flood the primary past its log capacity BEFORE the follower joins,
-    // so the join path must restore a re-anchored checkpoint, not replay
-    // from tick zero.
+    // Flood the primary BEFORE the follower joins, so the join restores a
+    // checkpoint of decided state, not an empty service.
     let mut id = 0;
     let mut next = || {
         id += 1;
@@ -272,30 +271,16 @@ fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
             );
         }
     }
-    let (anchor_tick, log_entries) = match call(&pconn, next(), RequestKind::ReplStatus).kind {
-        ResponseKind::ReplStatus {
-            anchor_tick,
-            log_entries,
-            ..
-        } => (anchor_tick, log_entries),
+    // The status query is the last tick before the join, so the tick it
+    // reports is the primary's frontier when the follower attaches.
+    let frontier = match call(&pconn, next(), RequestKind::ReplStatus).kind {
+        ResponseKind::ReplStatus { tick, .. } => tick,
         other => fail(args, &format!("primary status got {}", other.label())),
     };
-    if rounds > LOG_CAPACITY && anchor_tick == 0 {
-        fail(
-            args,
-            &format!("{rounds} decisions never rolled the capacity-{LOG_CAPACITY} log anchor"),
-        );
-    }
-    if log_entries > LOG_CAPACITY {
-        fail(
-            args,
-            &format!("log retained {log_entries} entries past capacity {LOG_CAPACITY}"),
-        );
-    }
 
-    // Cold join: checkpoint + suffix, then live shipping.
+    // Cold join: the anchor encoded at the frontier, then live shipping.
     primary.attach(link);
-    let ptick: u64 = {
+    let (ptick, log_entries) = {
         // One more decision lands after the join and must arrive live.
         let resp = call(
             &pconn,
@@ -312,16 +297,25 @@ fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
             );
         }
         match call(&pconn, next(), RequestKind::ReplStatus).kind {
-            ResponseKind::ReplStatus { tick, .. } => tick,
+            ResponseKind::ReplStatus {
+                tick, log_entries, ..
+            } => (tick, log_entries),
             other => fail(args, &format!("primary status got {}", other.label())),
         }
     };
+    if log_entries != 0 {
+        fail(
+            args,
+            &format!("the primary retained {log_entries} shipped entries"),
+        );
+    }
     // The primary answers only after every live follower acked, so by the
     // time we read its tick the follower has applied it.
-    match call(&fconn, 1_000_001, RequestKind::ReplStatus).kind {
+    let anchor_tick = match call(&fconn, 1_000_001, RequestKind::ReplStatus).kind {
         ResponseKind::ReplStatus {
             role,
             tick,
+            anchor_tick,
             divergences,
             ..
         } => {
@@ -337,9 +331,19 @@ fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
             if divergences != 0 {
                 fail(args, &format!("{divergences} divergences before the flip"));
             }
+            if anchor_tick != frontier {
+                fail(
+                    args,
+                    &format!(
+                        "the joiner restored an anchor at tick {anchor_tick}, \
+                         the primary's frontier at the join was {frontier}"
+                    ),
+                );
+            }
+            anchor_tick
         }
         other => fail(args, &format!("follower status got {}", other.label())),
-    }
+    };
     // Replayed state must carry the same plan, byte for byte. The two
     // queries ride different request ids, so mask the id too.
     let masked = |resp: WireResponse| normalized(&WireResponse { id: 0, ..resp });
@@ -352,8 +356,8 @@ fn scenario_divergence(args: &Args, rounds: usize) -> (u64, bool, u64, usize) {
         );
     }
 
-    // Flip one bit in the next shipped digest. The primary's own log and
-    // state stay clean — only the follower's cross-check sees the lie.
+    // Flip one bit in the next shipped digest. The primary's own state
+    // stays clean — only the follower's cross-check sees the lie.
     flip.arm();
     call(
         &pconn,
@@ -417,9 +421,9 @@ fn scenario_failover(args: &Args, sessions: usize, rounds: usize) -> FailoverOut
     });
     let primary = Server::spawn(DecisionService::new(ServeConfig {
         tracer: Tracer::new(Box::new(crash)),
-        ..repl_cfg(false, 64)
+        ..repl_cfg(false)
     }));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 64)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     primary.replicate_to(&follower);
 
     let fleet = Server::client_of(&[&primary, &follower]);
@@ -507,8 +511,8 @@ fn scenario_failover(args: &Args, sessions: usize, rounds: usize) -> FailoverOut
 /// Scenario 3: the deposed primary's answers are demoted to `fenced`.
 fn scenario_fencing(args: &Args) -> usize {
     let seed = args.seed;
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 64)));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 64)));
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     primary.replicate_to(&follower);
     let pconn = primary.client();
 
@@ -568,8 +572,8 @@ fn main() {
         scenario_divergence(&args, if args.quick { 12 } else { 40 });
     println!(
         "divergence: {} mismatch(es) caught from one flipped bit, promote refused, \
-         log bounded at {} entries (anchor tick {})",
-        divergences, log_entries, anchor_tick
+         joined from an anchor at tick {} (primary retains {} log entries)",
+        divergences, anchor_tick, log_entries
     );
 
     // ---- Scenario 2: kill-9 failover ------------------------------------
@@ -653,8 +657,8 @@ fn main() {
         promote_term: failover.promote_term,
         divergences_detected: divergences,
         promote_refused_on_divergence: refused,
-        anchor_tick_after_rollover: anchor_tick,
-        log_entries_bound: log_entries,
+        joiner_anchor_tick: anchor_tick,
+        primary_log_entries: log_entries,
         fenced_rejections: fenced,
         gave_up: 0,
         byte_identical_responses: byte_identical,

@@ -17,8 +17,8 @@
 //! * [`serve`] — the controller wrapped for multi-tenant use: the batched,
 //!   deterministic decision service behind `bap serve`;
 //! * [`replication`] — primary/follower log shipping over the service's
-//!   determinism contract: bounded checkpoint-anchored logs, divergence
-//!   detection, and fenced failover;
+//!   determinism contract: a checkpoint join anchor encoded when a
+//!   follower attaches, divergence detection, and fenced failover;
 //! * [`net`] — the transports of `bap serve`: the stdio loop, and the TCP
 //!   front end shared by `--listen` and the replication stream, with
 //!   per-connection panic isolation.
@@ -42,7 +42,7 @@ pub use controller::{Controller, PlanSource, Policy};
 pub use incremental::{IncrementalSolver, IncrementalStats};
 pub use projection::{projected_misses, projected_plan_misses, projected_total_misses};
 pub use qos::{admit_cores, build_qos_plan, core_bound, AdmissionOutcome, QosState};
-pub use replication::{ReplItem, ReplicationLog, Role};
+pub use replication::{ReplItem, Role};
 pub use serve::{
     BatchContext, BrownoutLevel, ClientError, DecisionService, OverloadGovernor, ServeClient,
     ServeConfig, Server,

@@ -15,7 +15,7 @@
 //!   must never be able to take the listener down.
 //! * **The replication bridge** — a [`RequestKind::ReplSubscribe`] turns
 //!   its connection into a log stream: the handler attaches a sink to
-//!   the worker, writes the anchor as a [`ResponseKind::ReplSnapshot`]
+//!   the worker, writes the join anchor as a [`ResponseKind::ReplSnapshot`]
 //!   and every entry as a [`ResponseKind::ReplEntry`], and relays the
 //!   follower's [`RequestKind::ReplAck`] lines back as sink acks — the
 //!   same ack-before-answer contract as the in-process transport, over

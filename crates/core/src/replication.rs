@@ -1,6 +1,6 @@
-//! Replication for the decision service: roles, the bounded
-//! checkpoint-anchored log, the items shipped to followers, the service's
-//! commit/replay/promotion methods, and the worker's shipping endpoint.
+//! Replication for the decision service: roles, the items shipped to
+//! followers, the service's commit/replay/promotion methods, and the
+//! worker's shipping endpoint.
 //!
 //! The protocol rides the determinism contract proven in `tests/serve.rs`:
 //! responses are a pure function of the id-ordered per-session request
@@ -10,17 +10,18 @@
 //! and the follower cross-checks its replay against the primary's
 //! [`SessionDigest`]s to catch any divergence.
 //!
-//! The log stays bounded by anchoring to `bap-recovery` checkpoints: once
-//! the suffix outgrows its capacity the log re-anchors on a fresh encoded
-//! checkpoint and clears the suffix, so a cold follower always joins from
-//! one checkpoint plus at most `capacity` entries.
+//! A replica keeps no log. A follower that attaches gets one join anchor,
+//! a `bap-recovery` checkpoint of the shipper's state at its replication
+//! frontier, encoded at the attach, and then every later tick live. No
+//! tick encodes a checkpoint for replication, and no replica retains
+//! shipped entries.
 
 use crate::serve::{BatchContext, BrownoutLevel, DecisionService};
 use bap_recovery::{Checkpoint, RecoveryError};
 use bap_trace::wire::{RequestKind, ResponseKind, SessionDigest, WireLogEntry, WireRequest};
 use bap_trace::EventKind;
 use bap_types::ReplicationConfig;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -44,90 +45,18 @@ impl Role {
     }
 }
 
-/// The bounded replication log: an anchor checkpoint plus a suffix of
-/// committed entries. A joining follower restores the anchor and replays
-/// the suffix; an in-sync follower receives each new entry as it commits.
-#[derive(Clone, Debug)]
-pub struct ReplicationLog {
-    capacity: usize,
-    anchor: Vec<u8>,
-    anchor_tick: u64,
-    anchor_term: u64,
-    entries: VecDeque<WireLogEntry>,
-}
-
-impl ReplicationLog {
-    /// A log anchored on `anchor` (encoded checkpoint bytes) covering
-    /// state up to `anchor_tick` under `anchor_term`.
-    pub fn new(capacity: usize, anchor: Vec<u8>, anchor_tick: u64, anchor_term: u64) -> Self {
-        ReplicationLog {
-            capacity: capacity.max(1),
-            anchor,
-            anchor_tick,
-            anchor_term,
-            entries: VecDeque::new(),
-        }
-    }
-
-    /// Append one committed entry to the suffix.
-    pub fn append(&mut self, entry: WireLogEntry) {
-        self.entries.push_back(entry);
-    }
-
-    /// True once the suffix outgrew its capacity and the log should
-    /// re-anchor on a fresh checkpoint.
-    pub fn needs_anchor(&self) -> bool {
-        self.entries.len() > self.capacity
-    }
-
-    /// Replace the anchor with a fresh checkpoint and clear the suffix;
-    /// returns how many entries the re-anchor dropped.
-    pub fn re_anchor(&mut self, anchor: Vec<u8>, anchor_tick: u64, anchor_term: u64) -> usize {
-        let dropped = self.entries.len();
-        self.anchor = anchor;
-        self.anchor_tick = anchor_tick;
-        self.anchor_term = anchor_term;
-        self.entries.clear();
-        dropped
-    }
-
-    /// The anchor checkpoint: `(encoded bytes, tick, term)`.
-    pub fn anchor(&self) -> (&[u8], u64, u64) {
-        (&self.anchor, self.anchor_tick, self.anchor_term)
-    }
-
-    /// The suffix entries after `after_tick`, in commit order.
-    pub fn suffix(&self, after_tick: u64) -> Vec<WireLogEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.tick > after_tick)
-            .cloned()
-            .collect()
-    }
-
-    /// Suffix length.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the suffix is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// One item shipped over a replication subscription. The `ack` channel
 /// carries the applied tick back to the shipper — the primary holds client
 /// responses until every live follower has acked, which is what makes an
 /// acknowledged decision durable across a primary kill.
 pub enum ReplItem {
-    /// The anchor checkpoint a joining follower restores first.
+    /// The join anchor a joining follower restores first.
     Snapshot {
         /// Encoded `bap-recovery` checkpoint bytes.
         state: Vec<u8>,
-        /// Tick the checkpoint covers.
+        /// Tick the checkpoint covers (the shipper's frontier).
         tick: u64,
-        /// Term it was anchored under.
+        /// Term it was encoded under.
         term: u64,
         /// Ack channel (the restored tick).
         ack: mpsc::Sender<u64>,
@@ -141,15 +70,17 @@ pub enum ReplItem {
     },
 }
 
-/// The replication half of a service: role, fencing term, the bounded
-/// log, and the divergence ledger. Present exactly when
+/// The replication half of a service: role, fencing term, frontier, and
+/// the divergence ledger. Present exactly when
 /// [`crate::ServeConfig::replication`] is set.
 pub(crate) struct ReplState {
     role: Role,
     /// The fencing term. Starts at 1, bumped by promotion or by observing
     /// a higher term on a shipped entry; stamped on every wire response.
     pub(crate) term: u64,
-    log: ReplicationLog,
+    /// Tick of the newest join anchor this replica encoded for a joiner
+    /// or restored from its primary (0 before either).
+    anchor_tick: u64,
     /// Highest shipped-entry tick this replica has applied (the
     /// replication frontier; on a primary the service tick is the
     /// frontier instead).
@@ -163,9 +94,8 @@ pub(crate) struct ReplState {
 }
 
 impl ReplState {
-    /// Term 1, anchored on `anchor` (the encoded checkpoint of the
-    /// service as it starts).
-    pub(crate) fn new(cfg: &ReplicationConfig, anchor: Vec<u8>) -> Self {
+    /// Term 1, at tick 0.
+    pub(crate) fn new(cfg: &ReplicationConfig) -> Self {
         ReplState {
             role: if cfg.follower {
                 Role::Follower
@@ -173,7 +103,7 @@ impl ReplState {
                 Role::Primary
             },
             term: 1,
-            log: ReplicationLog::new(cfg.capacity(), anchor, 0, 1),
+            anchor_tick: 0,
             applied: 0,
             divergences: 0,
             replaying: false,
@@ -216,34 +146,40 @@ impl DecisionService {
             .unwrap_or(Duration::from_millis(1000))
     }
 
-    /// The current log anchor `(encoded checkpoint, tick, term)` when
-    /// replication is on — what a joining follower restores first.
-    pub fn log_anchor(&self) -> Option<(Vec<u8>, u64, u64)> {
-        self.repl.as_ref().map(|r| {
-            let (bytes, tick, term) = r.log.anchor();
-            (bytes.to_vec(), tick, term)
-        })
+    /// The replication frontier `ReplStatus.tick` reports: the service
+    /// tick on a primary (promoted or not), the applied tick on a
+    /// follower.
+    fn frontier(&self, repl: &ReplState) -> u64 {
+        match repl.role {
+            Role::Primary => self.tick,
+            Role::Follower => repl.applied,
+        }
     }
 
-    /// The log suffix after `after_tick`, in commit order (empty when
-    /// replication is off).
-    pub fn log_suffix(&self, after_tick: u64) -> Vec<WireLogEntry> {
-        self.repl
-            .as_ref()
-            .map(|r| r.log.suffix(after_tick))
-            .unwrap_or_default()
+    /// Encode the join anchor for a follower attaching now: this
+    /// replica's checkpoint at its replication frontier, as `(encoded
+    /// checkpoint, tick, term)`; `None` when replication is off. Called
+    /// between ticks, so the anchor holds every committed tick up to the
+    /// frontier and the next shipped entry is the first one the joiner
+    /// lacks.
+    pub fn join_anchor(&mut self) -> Option<(Vec<u8>, u64, u64)> {
+        let repl = self.repl.as_ref()?;
+        let (tick, term) = (self.frontier(repl), repl.term);
+        let state = self.checkpoint().encode();
+        self.repl.as_mut()?.anchor_tick = tick;
+        Some((state, tick, term))
     }
 
-    /// Commit the tick just served to the replication log and hand back
-    /// the entry to ship. Primary only — `None` when replication is off
-    /// or this replica is a follower. The entry carries the *inputs*:
+    /// Commit the tick just served and hand back the entry to ship.
+    /// Primary only — `None` when replication is off or this replica is
+    /// a follower. The entry carries the *inputs*:
     /// the batch's state-mutating requests (`Open`/`Snapshot`) in id
     /// order — queries and control frames replay to nothing — plus a
     /// [`SessionDigest`] for every session those requests touch, so a
     /// follower can both replay and cross-check. Every committed tick
     /// ships, even an all-query one: the ack-before-answer contract
     /// wants the shipped tick stream gap-free.
-    pub fn log_batch(&mut self, requests: &[WireRequest], brownout: u8) -> Option<WireLogEntry> {
+    pub fn log_batch(&self, requests: &[WireRequest], brownout: u8) -> Option<WireLogEntry> {
         let repl = self.repl.as_ref()?;
         if repl.role != Role::Primary {
             return None;
@@ -280,52 +216,24 @@ impl DecisionService {
                 }
             })
             .collect();
-        let entry = WireLogEntry {
+        Some(WireLogEntry {
             tick: self.tick,
             term,
             brownout,
             requests: reqs,
             digests,
-        };
-        self.append_to_log(entry.clone());
-        Some(entry)
-    }
-
-    /// Append one committed entry to the local log; once the suffix
-    /// outgrows its capacity, re-anchor on a fresh checkpoint so the log
-    /// stays bounded and a cold joiner never replays more than one
-    /// capacity's worth of entries.
-    fn append_to_log(&mut self, entry: WireLogEntry) {
-        let needs = match self.repl.as_mut() {
-            Some(repl) => {
-                repl.log.append(entry);
-                repl.log.needs_anchor()
-            }
-            None => return,
-        };
-        if !needs {
-            return;
-        }
-        // Sequenced: the checkpoint borrows the whole service, the
-        // re-anchor only the replication half.
-        let bytes = self.checkpoint().encode();
-        let tick = self.tick;
-        let repl = self.repl.as_mut().expect("checked above");
-        let term = repl.term;
-        let dropped = repl.log.re_anchor(bytes, tick, term);
-        self.tracer
-            .emit(|| EventKind::ReplAnchored { tick, dropped });
+        })
     }
 
     /// Apply one shipped log entry (the follower side). Replays the
     /// entry's requests through the normal batch path at the shipped
     /// tick and brownout level, cross-checks the primary's digests
-    /// against the replayed state, appends the entry to the local log
-    /// and advances the replication frontier. Returns the applied tick
-    /// (the ack), or `None` when the entry must not be applied — this
-    /// replica is a primary, or the entry's term is stale (a deposed
-    /// primary still shipping). A refused entry is deliberately not
-    /// acked: the shipper times out and drops the connection.
+    /// against the replayed state and advances the replication frontier.
+    /// Returns the applied tick (the ack), or `None` when the entry must
+    /// not be applied — this replica is a primary, or the entry's term is
+    /// stale (a deposed primary still shipping). A refused entry is
+    /// deliberately not acked: the shipper times out and drops the
+    /// connection.
     pub fn apply_repl_entry(&mut self, entry: &WireLogEntry) -> Option<u64> {
         {
             let repl = self.repl.as_ref()?;
@@ -388,7 +296,6 @@ impl DecisionService {
             tick,
             requests: nreq,
         });
-        self.append_to_log(entry.clone());
         if let Some(repl) = self.repl.as_mut() {
             repl.divergences += mismatches;
             repl.applied = entry.tick;
@@ -396,10 +303,9 @@ impl DecisionService {
         Some(entry.tick)
     }
 
-    /// Restore this replica from a shipped anchor checkpoint (the first
-    /// item of a subscription): decode, rebuild the whole service from
-    /// it, and re-anchor the local log on the same bytes so a promoted
-    /// ex-follower can serve joiners itself.
+    /// Restore this replica from a shipped join anchor (the first item
+    /// of a subscription): decode, rebuild the whole service from it, and
+    /// take its tick as the replication frontier.
     pub fn restore_from_anchor(
         &mut self,
         state: &[u8],
@@ -413,7 +319,7 @@ impl DecisionService {
                 repl.term = term;
             }
             repl.applied = tick;
-            repl.log.re_anchor(state.to_vec(), tick, term);
+            repl.anchor_tick = tick;
         }
         self.tick = self.tick.max(tick);
         Ok(())
@@ -463,12 +369,10 @@ impl DecisionService {
         ResponseKind::ReplStatus {
             role: repl.role.label().to_string(),
             term: repl.term,
-            tick: match repl.role {
-                Role::Primary => self.tick,
-                Role::Follower => repl.applied,
-            },
-            log_entries: repl.log.len(),
-            anchor_tick: repl.log.anchor().1,
+            tick: self.frontier(repl),
+            // No replica retains entries; the member stays for the dialect.
+            log_entries: 0,
+            anchor_tick: repl.anchor_tick,
             divergences: repl.divergences,
         }
     }
@@ -515,15 +419,15 @@ pub(crate) fn ship_entry(
         .emit(|| EventKind::ReplEntryShipped { tick, followers });
 }
 
-/// Bring one follower sink up to date: the anchor checkpoint first,
-/// then the log suffix, each acked. Only a survivor of the catch-up
-/// joins the shipping fleet.
+/// Bring one follower sink up to date: encode the join anchor and wait
+/// for its ack. Only a follower that restored it joins the shipping
+/// fleet, and the next committed tick is the first entry it receives.
 pub(crate) fn attach_follower(
-    service: &DecisionService,
+    service: &mut DecisionService,
     sink: &mpsc::Sender<ReplItem>,
     ack_timeout: Duration,
 ) -> bool {
-    let Some((state, tick, term)) = service.log_anchor() else {
+    let Some((state, tick, term)) = service.join_anchor() else {
         return false; // replication is off; nothing to subscribe to
     };
     let snapshot = |ack| ReplItem::Snapshot {
@@ -534,25 +438,14 @@ pub(crate) fn attach_follower(
     };
     if !deliver(sink, snapshot, ack_timeout) {
         service.tracer().emit(|| EventKind::FollowerLost {
-            detail: "no ack restoring the anchor checkpoint".to_string(),
+            detail: "no ack restoring the join anchor".to_string(),
         });
         return false;
     }
-    let suffix = service.log_suffix(tick);
-    let entries = suffix.len();
-    for entry in suffix {
-        let entry_tick = entry.tick;
-        if !deliver(sink, |ack| ReplItem::Entry { entry, ack }, ack_timeout) {
-            let detail = format!("no ack replaying the suffix at tick {entry_tick}");
-            service.tracer().emit(|| EventKind::FollowerLost { detail });
-            return false;
-        }
-    }
     let anchor_tick = tick;
-    service.tracer().emit(|| EventKind::FollowerJoined {
-        anchor_tick,
-        entries,
-    });
+    service
+        .tracer()
+        .emit(|| EventKind::FollowerJoined { anchor_tick });
     true
 }
 
@@ -577,46 +470,5 @@ pub(crate) fn apply_repl_item(service: &mut DecisionService, item: ReplItem) {
                 let _ = ack.send(tick);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bap_trace::wire::WireLogEntry;
-
-    fn entry(tick: u64) -> WireLogEntry {
-        WireLogEntry {
-            tick,
-            term: 1,
-            brownout: 0,
-            requests: vec![],
-            digests: vec![],
-        }
-    }
-
-    #[test]
-    fn log_bounds_suffix_and_reanchors() {
-        let mut log = ReplicationLog::new(2, b"anchor0".to_vec(), 0, 1);
-        assert!(log.is_empty());
-        for t in 1..=3 {
-            log.append(entry(t));
-        }
-        assert!(log.needs_anchor(), "3 entries > capacity 2");
-        assert_eq!(log.suffix(1).len(), 2, "suffix filters by tick");
-        let dropped = log.re_anchor(b"anchor3".to_vec(), 3, 1);
-        assert_eq!(dropped, 3);
-        assert!(log.is_empty() && !log.needs_anchor());
-        let (bytes, tick, term) = log.anchor();
-        assert_eq!((bytes, tick, term), (&b"anchor3"[..], 3, 1));
-    }
-
-    #[test]
-    fn zero_capacity_is_floored() {
-        let mut log = ReplicationLog::new(0, vec![], 0, 1);
-        log.append(entry(1));
-        assert!(!log.needs_anchor(), "capacity floors at 1");
-        log.append(entry(2));
-        assert!(log.needs_anchor());
     }
 }

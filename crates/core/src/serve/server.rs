@@ -26,8 +26,8 @@ enum WorkItem {
     Client(Envelope),
     /// A shipped replication item to apply (the follower side).
     Repl(ReplItem),
-    /// Attach a follower sink: catch it up (anchor + suffix), then ship
-    /// it every committed entry.
+    /// Attach a follower sink: ship it the join anchor, then every
+    /// committed entry.
     Attach(mpsc::Sender<ReplItem>),
 }
 
@@ -92,7 +92,7 @@ impl Server {
                             WorkItem::Client(env) => sweep.push(env),
                             WorkItem::Repl(item) => apply_repl_item(&mut service, item),
                             WorkItem::Attach(sink) => {
-                                if attach_follower(&service, &sink, ack_timeout) {
+                                if attach_follower(&mut service, &sink, ack_timeout) {
                                     sinks.push(sink);
                                 }
                             }
@@ -184,9 +184,9 @@ impl Server {
         let _ = self.tx.send(WorkItem::Attach(sink));
     }
 
-    /// Subscribe `follower` to this server's replication stream: anchor
-    /// plus suffix catch-up first, then every committed entry, with
-    /// every item acked before the primary answers its clients.
+    /// Subscribe `follower` to this server's replication stream: the join
+    /// anchor first, then every committed entry, with every item acked
+    /// before the primary answers its clients.
     pub fn replicate_to(&self, follower: &Server) {
         self.attach(follower.repl_sink());
     }

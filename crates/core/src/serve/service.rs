@@ -292,26 +292,16 @@ pub struct DecisionService {
 impl DecisionService {
     /// A fresh service with no sessions.
     pub fn new(cfg: ServeConfig) -> Self {
-        let history = RecoveryManager::new(cfg.history);
-        let tracer = cfg.tracer.clone();
-        let replication = cfg.replication;
-        let mut svc = DecisionService {
+        DecisionService {
+            history: RecoveryManager::new(cfg.history),
+            tracer: cfg.tracer.clone(),
+            repl: cfg.replication.as_ref().map(ReplState::new),
             cfg,
             sessions: BTreeMap::new(),
             poisoned: BTreeSet::new(),
-            history,
-            tracer,
             tick: 0,
             requests: 0,
-            repl: None,
-        };
-        if let Some(rcfg) = replication {
-            // The empty service is its own first anchor: a follower that
-            // joins before any tick restores a checkpoint of nothing.
-            let anchor = svc.checkpoint().encode();
-            svc.repl = Some(ReplState::new(&rcfg, anchor));
         }
-        svc
     }
 
     /// Live sessions.

@@ -88,14 +88,24 @@ impl std::error::Error for RecoveryError {}
 /// torn or bit-flipped checkpoints (this is corruption *detection*, not an
 /// adversarial integrity guarantee).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue the FNV-1a-64 hash `h` over `bytes`:
+/// `fnv1a64_extend(fnv1a64(a), b)` is `fnv1a64` of `a` followed by `b`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(PRIME);
     }
     h
+}
+
+/// The checkpoint checksum: FNV-1a-64 over the version and epoch header
+/// fields followed by the JSON body, hashed in place.
+fn checksum(version_epoch: &[u8], body: &[u8]) -> u64 {
+    fnv1a64_extend(fnv1a64(version_epoch), body)
 }
 
 /// One full-pipeline checkpoint: a format version plus the opaque state
@@ -126,21 +136,21 @@ impl Checkpoint {
     /// The checksum covers the version and epoch header fields as well as
     /// the JSON body, so a bit-flip anywhere past the magic is caught.
     pub fn encode(&self) -> Vec<u8> {
-        let body = serde_json::to_string(&self.payload)
-            .expect("Value serialization is infallible")
-            .into_bytes();
-        let mut out = Vec::with_capacity(24 + body.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
+        // The checksum's slot, filled in once the body is written; the
+        // payload tree is written straight into the frame after it.
+        out.extend_from_slice(&[0; 8]);
+        serde_json::append_value(&mut out, &self.payload);
         // Checksum over version + epoch + body, so header corruption is
         // caught too.
-        let mut hashed = Vec::with_capacity(12 + body.len());
-        hashed.extend_from_slice(&self.version.to_le_bytes());
-        hashed.extend_from_slice(&self.epoch.to_le_bytes());
-        hashed.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a64(&hashed).to_le_bytes());
-        out.extend_from_slice(&body);
+        let sum = checksum(&out[4..16], &out[24..]);
+        out[16..24].copy_from_slice(&sum.to_le_bytes());
+        // Rings and replication frames keep these bytes: drop the slack
+        // the buffer grew while writing.
+        out.shrink_to_fit();
         out
     }
 
@@ -154,10 +164,7 @@ impl Checkpoint {
         let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
         let stored = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
         let body = &bytes[24..];
-        let mut hashed = Vec::with_capacity(12 + body.len());
-        hashed.extend_from_slice(&bytes[4..16]);
-        hashed.extend_from_slice(body);
-        let computed = fnv1a64(&hashed);
+        let computed = checksum(&bytes[4..16], body);
         if computed != stored {
             return Err(RecoveryError::ChecksumMismatch { stored, computed });
         }
@@ -187,8 +194,8 @@ impl Checkpoint {
 /// "successful" save can surface a zero-length or garbage file under the
 /// final name, and without the directory fsync the rename itself can
 /// vanish. Torn writes that survive anyway are caught by the checksum on
-/// load. Used by the `bap serve` restart story and the replication-log
-/// anchor. Returns the number of bytes written.
+/// load. Used by the `bap serve` restart story. Returns the number of
+/// bytes written.
 pub fn save_checkpoint_file(path: &std::path::Path, bytes: &[u8]) -> Result<usize, RecoveryError> {
     use std::io::Write;
     let tmp = path.with_extension("tmp");

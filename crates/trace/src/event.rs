@@ -434,21 +434,11 @@ pub enum EventKind {
         /// Requests the entry carried.
         requests: usize,
     },
-    /// The replication log outgrew its capacity and re-anchored on a fresh
-    /// checkpoint, clearing the suffix.
-    ReplAnchored {
-        /// Tick the new anchor covers.
-        tick: u64,
-        /// Suffix entries dropped by the re-anchor.
-        dropped: usize,
-    },
-    /// A follower joined the replication stream: it restored the anchor
-    /// checkpoint and replayed the suffix.
+    /// A follower joined the replication stream: it restored the join
+    /// anchor, a checkpoint of the shipper's state encoded at the attach.
     FollowerJoined {
-        /// Tick of the anchor it restored.
+        /// Tick of the anchor it restored (the shipper's frontier).
         anchor_tick: u64,
-        /// Suffix entries it caught up through.
-        entries: usize,
     },
     /// A follower stopped acknowledging shipped entries and was dropped
     /// from the replication set.
@@ -553,7 +543,6 @@ impl EventKind {
             EventKind::DeadlineExceeded { .. } => "deadline_exceeded",
             EventKind::ReplEntryShipped { .. } => "repl_entry_shipped",
             EventKind::ReplEntryApplied { .. } => "repl_entry_applied",
-            EventKind::ReplAnchored { .. } => "repl_anchored",
             EventKind::FollowerJoined { .. } => "follower_joined",
             EventKind::FollowerLost { .. } => "follower_lost",
             EventKind::DivergenceDetected { .. } => "divergence_detected",
@@ -753,14 +742,7 @@ mod tests {
                 tick: 40,
                 requests: 7,
             },
-            EventKind::ReplAnchored {
-                tick: 64,
-                dropped: 64,
-            },
-            EventKind::FollowerJoined {
-                anchor_tick: 35,
-                entries: 5,
-            },
+            EventKind::FollowerJoined { anchor_tick: 35 },
             EventKind::FollowerLost {
                 detail: "ack timeout".to_string(),
             },

@@ -113,8 +113,6 @@ pub struct TraceSummary {
     pub repl_entries_shipped: u64,
     /// Shipped log entries replayed by this follower.
     pub repl_entries_applied: u64,
-    /// Replication-log re-anchors on a fresh checkpoint.
-    pub repl_anchors: u64,
     /// Followers that joined the replication stream.
     pub followers_joined: u64,
     /// Followers dropped for missed acks or closed streams.
@@ -190,7 +188,6 @@ impl TraceSummary {
             EventKind::DeadlineExceeded { .. } => self.deadline_exceeded += 1,
             EventKind::ReplEntryShipped { .. } => self.repl_entries_shipped += 1,
             EventKind::ReplEntryApplied { .. } => self.repl_entries_applied += 1,
-            EventKind::ReplAnchored { .. } => self.repl_anchors += 1,
             EventKind::FollowerJoined { .. } => self.followers_joined += 1,
             EventKind::FollowerLost { .. } => self.followers_lost += 1,
             EventKind::DivergenceDetected { .. } => self.divergences += 1,
@@ -321,14 +318,7 @@ mod tests {
             tick: 1,
             requests: 3,
         });
-        s.count(&EventKind::ReplAnchored {
-            tick: 64,
-            dropped: 64,
-        });
-        s.count(&EventKind::FollowerJoined {
-            anchor_tick: 0,
-            entries: 1,
-        });
+        s.count(&EventKind::FollowerJoined { anchor_tick: 0 });
         s.count(&EventKind::FollowerLost {
             detail: "ack timeout".to_string(),
         });
@@ -347,10 +337,9 @@ mod tests {
         s.count(&EventKind::ConnectionFailed {
             detail: "panic".to_string(),
         });
-        assert_eq!(s.events, 10);
+        assert_eq!(s.events, 9);
         assert_eq!(s.repl_entries_shipped, 1);
         assert_eq!(s.repl_entries_applied, 1);
-        assert_eq!(s.repl_anchors, 1);
         assert_eq!(s.followers_joined, 1);
         assert_eq!(s.followers_lost, 1);
         assert_eq!(s.divergences, 1);

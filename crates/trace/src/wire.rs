@@ -131,14 +131,17 @@ pub enum RequestKind {
     /// `unsupported`; a follower that has detected divergence refuses with
     /// `divergence` rather than serve state it cannot vouch for.
     Promote,
-    /// Query the replication role, term, log shape and divergence count.
+    /// Query the replication role, term, frontier, newest join anchor and
+    /// divergence count.
     ReplStatus,
-    /// Follower-to-primary: subscribe to the replication stream. The
-    /// primary answers with a [`ResponseKind::ReplSnapshot`] anchor
-    /// checkpoint followed by one [`ResponseKind::ReplEntry`] per log
-    /// entry after `after_tick`, then ships new entries as they commit.
+    /// Follower-to-primary: subscribe to the replication stream. Every
+    /// subscription starts from a fresh join anchor: the primary encodes
+    /// its checkpoint at its frontier, answers with it as a
+    /// [`ResponseKind::ReplSnapshot`], then ships one
+    /// [`ResponseKind::ReplEntry`] per tick as it commits.
     ReplSubscribe {
-        /// Highest tick the follower already holds (0 = cold join).
+        /// Highest tick the follower already holds. Nothing reads it (the
+        /// anchor covers every committed tick); the follower link sends 0.
         after_tick: u64,
     },
     /// Follower-to-primary: the shipped entry for `tick` was applied. The
@@ -386,21 +389,26 @@ pub enum ResponseKind {
         role: String,
         /// Current fencing term.
         term: u64,
-        /// Ticks committed/applied so far.
+        /// The replication frontier: ticks committed (a primary) or
+        /// applied (a follower) so far.
         tick: u64,
-        /// Log-suffix entries retained past the anchor.
+        /// Shipped entries retained. No replica keeps a log, so this
+        /// always reads 0; the member stays for the dialect.
         log_entries: usize,
-        /// Tick the anchor checkpoint covers.
+        /// Tick of the newest join anchor this replica encoded for a
+        /// joiner or restored from its primary (0 before either).
         anchor_tick: u64,
         /// Replay digest mismatches detected so far.
         divergences: u64,
     },
-    /// First frame of a replication subscription: the anchor checkpoint a
-    /// cold follower restores before replaying the suffix.
+    /// First frame of a replication subscription: the join anchor, a
+    /// checkpoint of the primary's state at its frontier, encoded when
+    /// the follower subscribed. The follower restores it and then applies
+    /// every [`ResponseKind::ReplEntry`] that follows; nothing is replayed.
     ReplSnapshot {
-        /// Tick the checkpoint covers.
+        /// Tick the checkpoint covers (the primary's frontier).
         tick: u64,
-        /// Term the checkpoint was anchored under.
+        /// Term the checkpoint was encoded under.
         term: u64,
         /// Hex-encoded `bap-recovery` checkpoint bytes (JSONL lines cannot
         /// carry raw binary).

@@ -1,15 +1,16 @@
 //! Offline shim of the `serde_json` crate.
 //!
 //! Writes the local serde shim's [`Value`] tree as JSON text (`to_string`,
-//! `to_string_pretty`, and a `json!` macro covering the object/array/
-//! expression forms the workspace uses) and reads text back with
-//! `from_str`, which hands the text to the serde shim's pull
-//! [`serde::Reader`]: members decode straight into the target type, and a
-//! tree is built only when the target is `Value`. Numbers keep their
+//! `to_string_pretty`, `append_value` for a tree already built, and a
+//! `json!` macro covering the object/array/expression forms the workspace
+//! uses), formatting every number straight into the output, and reads
+//! text back with `from_str`, which hands the text to the serde shim's
+//! pull [`serde::Reader`]: members decode straight into the target type,
+//! and a tree is built only when the target is `Value`. Numbers keep their
 //! integer-ness where possible; non-finite floats serialize as `null` (as
 //! real serde_json's `json!` does) and read back as NaN.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 pub use serde::Value;
 use serde::{Deserialize, Serialize};
@@ -41,15 +42,33 @@ impl serde::de::Error for Error {
 /// Serialize `value` to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    write_value(&mut out, &value.to_value(), None, 0).map_err(|e| Error(e.to_string()))?;
     Ok(out)
 }
 
 /// Serialize `value` to pretty-printed JSON text (2-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, &value.to_value(), Some(2), 0).map_err(|e| Error(e.to_string()))?;
     Ok(out)
+}
+
+/// Append the tree `v` to `out` as compact JSON text, the same bytes
+/// [`to_string`] writes. The tree is written where it stands: `to_string`
+/// would first copy it through [`Serialize::to_value`], which for a
+/// `Value` is a deep clone.
+pub fn append_value(out: &mut Vec<u8>, v: &Value) {
+    write_value(&mut Bytes(out), v, None, 0).expect("appending to a Vec cannot fail");
+}
+
+/// A byte buffer as a `fmt::Write` sink: the writer hands it UTF-8 text.
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Convert any serializable value into a [`Value`] tree (used by `json!`).
@@ -83,86 +102,85 @@ macro_rules! json {
 
 // ---- Writer ----
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize) {
+/// Write `v` into `out`, numbers formatted in place (no `String` per
+/// number): integers in decimal, finite floats with `{:?}`, which keeps a
+/// trailing `.0` on integral floats so the text stays float-typed across
+/// a round trip.
+fn write_value<W: Write>(
+    out: &mut W,
+    v: &Value,
+    indent: Option<usize>,
+    level: usize,
+) -> fmt::Result {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` keeps a trailing `.0` on integral floats, so the
-                // text stays float-typed across a round trip.
-                out.push_str(&format!("{f:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(f) if f.is_finite() => write!(out, "{f:?}"),
+        Value::Float(_) => out.write_str("null"),
         Value::Str(s) => write_string(out, s),
         Value::Array(items) => {
             if items.is_empty() {
-                out.push_str("[]");
-                return;
+                return out.write_str("[]");
             }
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
+                newline_indent(out, indent, level + 1)?;
+                write_value(out, item, indent, level + 1)?;
             }
-            newline_indent(out, indent, level);
-            out.push(']');
+            newline_indent(out, indent, level)?;
+            out.write_char(']')
         }
         Value::Object(pairs) => {
             if pairs.is_empty() {
-                out.push_str("{}");
-                return;
+                return out.write_str("{}");
             }
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, item)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                newline_indent(out, indent, level + 1);
-                write_string(out, k);
-                out.push(':');
+                newline_indent(out, indent, level + 1)?;
+                write_string(out, k)?;
+                out.write_char(':')?;
                 if indent.is_some() {
-                    out.push(' ');
+                    out.write_char(' ')?;
                 }
-                write_value(out, item, indent, level + 1);
+                write_value(out, item, indent, level + 1)?;
             }
-            newline_indent(out, indent, level);
-            out.push('}');
+            newline_indent(out, indent, level)?;
+            out.write_char('}')
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
+fn newline_indent<W: Write>(out: &mut W, indent: Option<usize>, level: usize) -> fmt::Result {
     if let Some(width) = indent {
-        out.push('\n');
+        out.write_char('\n')?;
         for _ in 0..width * level {
-            out.push(' ');
+            out.write_char(' ')?;
         }
     }
+    Ok(())
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
+fn write_string<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 #[cfg(test)]

@@ -245,11 +245,11 @@ fn recovery_ladder_survives_a_torn_checkpoint_file() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// `save_checkpoint_file` is the durability primitive under both the
-/// `--checkpoint` restart story and the replication-log anchor, so its
-/// contract is pinned here: the write is atomic (no `.tmp` debris, an
-/// existing destination is replaced wholesale, a failed save leaves the
-/// old file intact) and what lands on disk reloads bit-exactly. The
+/// `save_checkpoint_file` is the durability primitive under the
+/// `--checkpoint` restart story, so its contract is pinned here: the
+/// write is atomic (no `.tmp` debris, an existing destination is
+/// replaced wholesale, a failed save leaves the old file intact) and
+/// what lands on disk reloads bit-exactly. The
 /// fsync-before-rename + parent-directory-fsync ordering itself cannot
 /// be observed without a crash, but every error path it added must stay
 /// typed — a full disk or unwritable directory is a `RecoveryError`,

@@ -7,10 +7,12 @@
 //! cross-check the two histories. These tests pin the protocol's
 //! user-visible guarantees:
 //!
-//! * a cold follower catches up from the anchor checkpoint plus the log
-//!   suffix and then tracks the primary tick for tick — in process, and
-//!   over the TCP bridge from an anchor of a 128-core session within
-//!   the default ack timeout;
+//! * a cold follower restores one join anchor, a checkpoint encoded at
+//!   the primary's frontier when it attaches, and then tracks the primary
+//!   tick for tick — in process, from a promoted follower, at any tick of
+//!   a generated history (a thread-free proptest), and over the TCP
+//!   bridge from an anchor of a 128-core session within the default ack
+//!   timeout; no replica retains shipped entries;
 //! * an unreplicated service stays **byte-identical to the
 //!   pre-replication dialect** — no `term` member ever appears;
 //! * followers refuse state-mutating requests with `not-primary`, and
@@ -36,6 +38,8 @@ use bankaware::trace::wire::{
 };
 use bankaware::trace::{EventKind, TraceEvent, TraceSink, Tracer};
 use bankaware::types::{ReplicationConfig, RetryConfig};
+use proptest::collection;
+use proptest::prelude::*;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
@@ -76,11 +80,10 @@ fn req(id: u64, kind: RequestKind) -> WireRequest {
     WireRequest::new(id, kind)
 }
 
-fn repl_cfg(follower: bool, log_capacity: usize) -> ServeConfig {
+fn repl_cfg(follower: bool) -> ServeConfig {
     ServeConfig {
         replication: Some(ReplicationConfig {
             follower,
-            log_capacity,
             ack_timeout_ms: 500,
         }),
         ..ServeConfig::default()
@@ -88,9 +91,9 @@ fn repl_cfg(follower: bool, log_capacity: usize) -> ServeConfig {
 }
 
 /// Spawn a replicated primary/follower pair with the follower attached.
-fn spawn_pair(log_capacity: usize) -> (Server, Server) {
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, log_capacity)));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, log_capacity)));
+fn spawn_pair() -> (Server, Server) {
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     primary.replicate_to(&follower);
     (primary, follower)
 }
@@ -152,16 +155,28 @@ fn repl_status(conn: &bankaware::partitioning::ServeClient, id: u64) -> (String,
     repl_fields(conn.call(req(id, RequestKind::ReplStatus)).unwrap().kind)
 }
 
+/// The `log_entries` and `anchor_tick` of a `ReplStatus` answer.
+fn anchor_fields(conn: &bankaware::partitioning::ServeClient, id: u64) -> (usize, u64) {
+    match conn.call(req(id, RequestKind::ReplStatus)).unwrap().kind {
+        ResponseKind::ReplStatus {
+            log_entries,
+            anchor_tick,
+            ..
+        } => (log_entries, anchor_tick),
+        other => panic!("repl_status answered {}", other.label()),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Catch-up and live tracking.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn cold_follower_joins_from_anchor_and_tracks_the_primary() {
-    // Small capacity: the pre-join flood forces a re-anchor, so the join
-    // genuinely exercises checkpoint-restore + suffix replay.
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 4)));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 4)));
+    // The follower attaches after ten decisions, so the join restores a
+    // checkpoint of decided state, not an empty service.
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     let (pconn, fconn) = (primary.client(), follower.client());
 
     open(&pconn, 1, 1);
@@ -238,7 +253,7 @@ fn unreplicated_service_speaks_the_old_dialect_byte_for_byte() {
     );
 
     // The same batch on a replicated primary stamps term on every line.
-    let mut repl = DecisionService::new(repl_cfg(false, 8));
+    let mut repl = DecisionService::new(repl_cfg(false));
     let out = repl.process_batch(&[req(
         1,
         RequestKind::Open {
@@ -256,7 +271,7 @@ fn unreplicated_service_speaks_the_old_dialect_byte_for_byte() {
 
 #[test]
 fn follower_refuses_writes_and_call_with_retry_redirects() {
-    let (primary, follower) = spawn_pair(16);
+    let (primary, follower) = spawn_pair();
     let fconn = follower.client();
 
     // Direct write on the follower: the pinned not-primary refusal.
@@ -313,7 +328,7 @@ fn follower_refuses_writes_and_call_with_retry_redirects() {
 fn gave_up_carries_the_last_fence_hint() {
     // A lone follower never stops refusing: exhaustion must surface the
     // term it kept fencing on, typed, instead of a silent drop.
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 8)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     let fconn = follower.client();
     let retry = RetryConfig {
         max_attempts: 3,
@@ -351,7 +366,7 @@ fn gave_up_carries_the_last_fence_hint() {
 
 #[test]
 fn promotion_bumps_the_term_and_deposed_answers_are_fenced() {
-    let (primary, follower) = spawn_pair(16);
+    let (primary, follower) = spawn_pair();
     let (pconn, fconn) = (primary.client(), follower.client());
     open(&pconn, 1, 1);
     snapshot(&pconn, 2, 1, 5);
@@ -403,15 +418,15 @@ fn flip_first_digest(item: &mut ReplItem) -> bool {
 
 #[test]
 fn diverged_follower_refuses_promotion() {
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 16)));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 16)));
+    let primary = Server::spawn(DecisionService::new(repl_cfg(false)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     let (sink, flip) = TamperRelay::spawn(follower.repl_sink(), flip_first_digest);
     primary.attach(sink);
     let (pconn, fconn) = (primary.client(), follower.client());
     open(&pconn, 1, 1);
     snapshot(&pconn, 2, 1, 5);
 
-    // Only the shipped copy lies: the primary's own log stays clean.
+    // Only the shipped copy lies: the primary's own state stays clean.
     flip.arm();
     snapshot(&pconn, 3, 1, 6);
 
@@ -453,9 +468,9 @@ fn killed_primary_loses_nothing_and_retries_dedup_exactly_once() {
     });
     let primary = Server::spawn(DecisionService::new(ServeConfig {
         tracer: Tracer::new(Box::new(crash)),
-        ..repl_cfg(false, 16)
+        ..repl_cfg(false)
     }));
-    let follower = Server::spawn(DecisionService::new(repl_cfg(true, 16)));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
     primary.replicate_to(&follower);
     let (pconn, fconn) = (primary.client(), follower.client());
     open(&pconn, 1, 1);
@@ -661,11 +676,10 @@ fn spawn_tcp(
 #[test]
 fn tcp_follower_joins_a_large_anchor_within_the_ack_timeout() {
     const CORES: usize = 128;
-    // Default ack timeout (1 s); a small log so the session's history
-    // re-anchors on a checkpoint before the follower exists.
+    // Default ack timeout (1 s). The session decides before the follower
+    // exists, so the join anchor is a checkpoint of its whole history.
     let repl = |follower| ReplicationConfig {
         follower,
-        log_capacity: 4,
         ..ReplicationConfig::default()
     };
     let (events_tx, events) = mpsc::channel();
@@ -738,31 +752,172 @@ fn tcp_follower_joins_a_large_anchor_within_the_ack_timeout() {
 }
 
 // ---------------------------------------------------------------------------
-// Log bounding.
+// The join anchor.
 // ---------------------------------------------------------------------------
 
 #[test]
-fn log_stays_bounded_by_reanchoring() {
-    let primary = Server::spawn(DecisionService::new(repl_cfg(false, 4)));
-    let pconn = primary.client();
+fn a_joiner_restores_an_anchor_at_the_primarys_frontier() {
+    let (events_tx, events) = mpsc::channel();
+    let primary = Server::spawn(DecisionService::new(ServeConfig {
+        tracer: Tracer::new(Box::new(Membership(events_tx))),
+        ..repl_cfg(false)
+    }));
+    let follower = Server::spawn(DecisionService::new(repl_cfg(true)));
+    let (pconn, fconn) = (primary.client(), follower.client());
+    // One Open and eleven decisions: the primary's frontier is tick 12.
     open(&pconn, 1, 1);
-    for round in 0..12u64 {
+    for round in 0..11u64 {
         snapshot(&pconn, 2 + round, 1, round);
     }
-    match pconn.call(req(100, RequestKind::ReplStatus)).unwrap().kind {
-        ResponseKind::ReplStatus {
-            log_entries,
-            anchor_tick,
-            ..
-        } => {
-            assert!(
-                log_entries <= 4,
-                "suffix holds {log_entries} entries past capacity 4"
-            );
-            assert!(anchor_tick > 0, "13 ticks never rolled the anchor");
-        }
-        other => panic!("repl_status answered {}", other.label()),
+    const FRONTIER: u64 = 12;
+
+    primary.replicate_to(&follower);
+    match events.recv_timeout(Duration::from_secs(60)) {
+        Ok(EventKind::FollowerJoined { anchor_tick }) => assert_eq!(
+            anchor_tick, FRONTIER,
+            "the join anchor covers every committed tick"
+        ),
+        other => panic!("the follower did not join: {other:?}"),
     }
-    pconn.call(req(101, RequestKind::Shutdown)).unwrap();
+    // The status query is itself a shipped tick, so the follower has
+    // applied it by the time the primary answers.
+    let (_, _, ptick, _) = repl_status(&pconn, 100);
+    let (_, _, ftick, divergences) = repl_status(&fconn, 1);
+    assert_eq!(ftick, ptick);
+    assert_eq!(divergences, 0);
+    for (who, conn, id) in [("primary", &pconn, 101), ("follower", &fconn, 2)] {
+        let (log_entries, anchor_tick) = anchor_fields(conn, id);
+        assert_eq!(log_entries, 0, "the {who} retained shipped entries");
+        assert_eq!(anchor_tick, FRONTIER, "the {who}'s newest anchor");
+    }
+
+    pconn.call(req(102, RequestKind::Shutdown)).unwrap();
+    fconn.call(req(3, RequestKind::Shutdown)).unwrap();
     primary.join();
+    follower.join();
+}
+
+/// A promoted follower serves joiners itself: its join anchor is its own
+/// checkpoint at its frontier, under the bumped term.
+#[test]
+fn a_promoted_follower_anchors_a_chain_join() {
+    let (primary, follower) = spawn_pair();
+    let (pconn, fconn) = (primary.client(), follower.client());
+    open(&pconn, 1, 1);
+    for round in 0..3u64 {
+        snapshot(&pconn, 2 + round, 1, round);
+    }
+    pconn.call(req(10, RequestKind::Shutdown)).unwrap();
+    primary.join();
+    match fconn.call(req(1, RequestKind::Promote)).unwrap().kind {
+        ResponseKind::Promoted { term, .. } => assert_eq!(term, 2),
+        other => panic!("promote answered {}", other.label()),
+    }
+
+    let third = Server::spawn(DecisionService::new(repl_cfg(true)));
+    let tconn = third.client();
+    follower.replicate_to(&third);
+    let decided = snapshot(&fconn, 20, 1, 7);
+    assert!(
+        matches!(decided.kind, ResponseKind::Decision { .. }),
+        "the promoted primary answered {}",
+        decided.kind.label()
+    );
+
+    let (_, pterm, ptick, _) = repl_status(&fconn, 21);
+    let (role, term, ttick, divergences) = repl_status(&tconn, 1);
+    assert_eq!((role.as_str(), term), ("follower", pterm));
+    assert_eq!(ttick, ptick, "the third replica applied the frontier");
+    assert_eq!(divergences, 0);
+    let pplan = fconn
+        .call(req(22, RequestKind::Plan { session: 1 }))
+        .unwrap();
+    let tplan = tconn
+        .call(req(2, RequestKind::Plan { session: 1 }))
+        .unwrap();
+    assert!(matches!(pplan.kind, ResponseKind::Plan { epoch: 4, .. }));
+    assert_eq!(masked(&pplan), masked(&tplan));
+
+    fconn.call(req(23, RequestKind::Shutdown)).unwrap();
+    tconn.call(req(3, RequestKind::Shutdown)).unwrap();
+    follower.join();
+    third.join();
+}
+
+/// One generated request: `(kind, session slot, curve seed)`.
+type GenRequest = (u8, usize, u64);
+
+/// The batch of one generated tick, ids continuing from `next_id`.
+fn tick_requests(tick: &[GenRequest], cores: &[usize], next_id: &mut u64) -> Vec<WireRequest> {
+    tick.iter()
+        .map(|&(kind, slot, seed)| {
+            let session = (slot % cores.len()) as u64 + 1;
+            let n = cores[slot % cores.len()];
+            let kind = match kind % 4 {
+                0 => RequestKind::Open { session, cores: n },
+                1 => RequestKind::Snapshot {
+                    session,
+                    curves: knee_curves(n, seed),
+                },
+                2 => RequestKind::Evaluate {
+                    session,
+                    curves: knee_curves(n, seed),
+                },
+                _ => RequestKind::Plan { session },
+            };
+            *next_id += 1;
+            req(*next_id, kind)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Thread-free, at the service level: a follower that restores the
+    /// primary's join anchor at any tick of a generated history (before
+    /// the first, or after the last) and then applies every later entry
+    /// acks each with its tick, never diverges, and answers every
+    /// session's `Plan` as the primary does.
+    #[test]
+    fn a_follower_joining_at_any_tick_tracks_the_primary(
+        sizes in collection::vec(1usize..3, 1..4),
+        ticks in collection::vec(
+            collection::vec((0u8..4, 0usize..3, 0u64..1_000), 1..5),
+            0..10,
+        ),
+        join in 0usize..12,
+    ) {
+        let cores: Vec<usize> = sizes.iter().map(|s| 8 * s).collect();
+        let mut primary = DecisionService::new(repl_cfg(false));
+        let mut follower = DecisionService::new(repl_cfg(true));
+        // Every session opens in the first tick; the generated ticks may
+        // open them again (`session_exists`).
+        let mut history: Vec<Vec<GenRequest>> =
+            vec![(0..cores.len()).map(|slot| (0, slot, 0)).collect()];
+        history.extend(ticks);
+        let join = join.min(history.len());
+        let mut next_id = 0;
+        for t in 0..=history.len() {
+            if t == join {
+                let (state, tick, term) = primary.join_anchor().expect("replicated");
+                prop_assert_eq!(tick, primary.ticks());
+                follower.restore_from_anchor(&state, tick, term).expect("the anchor restores");
+            }
+            let Some(tick) = history.get(t) else { break };
+            let batch = tick_requests(tick, &cores, &mut next_id);
+            primary.process_batch(&batch);
+            let entry = primary.log_batch(&batch, 0).expect("a primary commits every tick");
+            if t >= join {
+                prop_assert_eq!(follower.apply_repl_entry(&entry), Some(entry.tick));
+            }
+        }
+        prop_assert_eq!(follower.divergences(), 0);
+        for session in 1..=cores.len() as u64 {
+            let plan = [req(u64::MAX, RequestKind::Plan { session })];
+            let p = masked(&primary.process_batch(&plan)[0]);
+            let f = masked(&follower.process_batch(&plan)[0]);
+            prop_assert_eq!(p, f);
+        }
+    }
 }
