@@ -8,7 +8,9 @@
 //! for every follower that joins (its join anchor, encoded on the worker
 //! while clients wait); the restore path runs when a process restarts from
 //! its checkpoint file or a follower joins from an anchor. These give each
-//! a per-layer number without the end-to-end harness.
+//! a per-layer number without the end-to-end harness. The checkpoint cases
+//! take two services: one 128-core session, and 8 sessions of 32 cores
+//! (the shape of the benchmark's serve-stdio-batch workload).
 
 use bap_core::{DecisionService, ServeConfig};
 use bap_recovery::Checkpoint;
@@ -94,42 +96,42 @@ fn bench_response_decode(c: &mut Criterion) {
     });
 }
 
-/// A service holding one 128-core session that has decided a few epochs,
-/// so its profilers, plan and warm-start baselines are all populated.
-fn decided_128_core_service(cfg: &ServeConfig) -> DecisionService {
+/// A service holding `sessions` sessions of `cores` cores that have each
+/// decided a few epochs, so their profilers, plans and warm-start
+/// baselines are all populated.
+fn decided_service(cfg: &ServeConfig, sessions: u64, cores: usize) -> DecisionService {
     let mut service = DecisionService::new(cfg.clone());
-    let mut requests = vec![WireRequest::new(
-        1,
-        RequestKind::Open {
-            session: 1,
-            cores: 128,
-        },
-    )];
-    requests.extend((0..4).map(|epoch| snapshot(1, 128, 2 + epoch)));
-    for req in &requests {
-        let answer = service.process_batch(std::slice::from_ref(req));
-        assert_eq!(answer[0].kind.error_code(), None, "{:?}", answer[0].kind);
+    for session in 1..=sessions {
+        let open = WireRequest::new(session, RequestKind::Open { session, cores });
+        let seeds = (0..4).map(|epoch| 2 + epoch + 100 * (session - 1));
+        let requests = std::iter::once(open).chain(seeds.map(|s| snapshot(session, cores, s)));
+        for req in requests {
+            let answer = service.process_batch(std::slice::from_ref(&req));
+            assert_eq!(answer[0].kind.error_code(), None, "{:?}", answer[0].kind);
+        }
     }
     service
 }
 
 fn bench_checkpoint(c: &mut Criterion) {
     let cfg = ServeConfig::default();
-    let service = decided_128_core_service(&cfg);
-    let bytes = service.checkpoint().encode();
     let mut group = c.benchmark_group("checkpoint");
     group.sample_size(10);
-    group.bench_function("encode_128_cores", |b| {
-        b.iter(|| black_box(&service).checkpoint().encode())
-    });
-    group.bench_function("decode_restore_128_cores", |b| {
-        b.iter(|| {
-            let cp = Checkpoint::decode(black_box(&bytes)).expect("intact");
-            let mut fresh = DecisionService::new(cfg.clone());
-            fresh.restore_from_checkpoint(&cp).expect("restores");
-            fresh
-        })
-    });
+    for (name, sessions, cores) in [("128_cores", 1, 128), ("8x32_cores", 8, 32)] {
+        let service = decided_service(&cfg, sessions, cores);
+        let bytes = service.checkpoint().encode();
+        group.bench_function(format!("encode_{name}"), |b| {
+            b.iter(|| black_box(&service).checkpoint().encode())
+        });
+        group.bench_function(format!("decode_restore_{name}"), |b| {
+            b.iter(|| {
+                let cp = Checkpoint::decode(black_box(&bytes)).expect("intact");
+                let mut fresh = DecisionService::new(cfg.clone());
+                fresh.restore_from_checkpoint(cp).expect("restores");
+                fresh
+            })
+        });
+    }
     group.finish();
 }
 

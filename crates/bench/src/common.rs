@@ -87,20 +87,26 @@ impl Args {
     }
 }
 
-/// The `results/` directory at the workspace root (created on demand).
+/// The `results/` directory at the root of the workspace the binary runs
+/// in (created on demand). The root is resolved at run time, so a copy of
+/// the tree that reuses a copied `target/` writes into its own `results/`.
 pub fn results_dir() -> PathBuf {
-    let dir = workspace_root().join("results");
+    let cwd = std::env::current_dir().expect("a working directory");
+    let dir = workspace_root(&cwd).unwrap_or(cwd).join("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
 
-fn workspace_root() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → two levels up.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .to_path_buf()
+/// The nearest ancestor of `dir` (itself included) whose `Cargo.toml`
+/// declares `[workspace]`. Cargo runs binaries from where it is invoked
+/// and tests from the package root, so both find the workspace root.
+fn workspace_root(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| {
+            std::fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Persist an experiment result as pretty JSON under `results/`.
@@ -126,4 +132,35 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .map(|(c, w)| format!("{c:>w$}", w = w))
         .collect::<Vec<_>>()
         .join("  ")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_workspace_root_is_the_nearest_ancestor_declaring_a_workspace() {
+        // Cargo runs this test from the package root, `crates/bench`.
+        let cwd = std::env::current_dir().expect("a working directory");
+        let root = workspace_root(&cwd).expect("inside the workspace");
+        assert!(root.join("crates/bench/Cargo.toml").is_file(), "{root:?}");
+
+        // A copied tree resolves to its own root, whatever built it; a
+        // package manifest that only inherits workspace keys is no root.
+        let copy = std::env::temp_dir().join(format!("bap_ws_root_{}", std::process::id()));
+        let src = copy.join("crates/pkg/src");
+        std::fs::create_dir_all(&src).expect("temp tree");
+        std::fs::write(
+            copy.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .expect("root manifest");
+        std::fs::write(
+            copy.join("crates/pkg/Cargo.toml"),
+            "[package]\nname = \"pkg\"\nversion.workspace = true\n",
+        )
+        .expect("package manifest");
+        assert_eq!(workspace_root(&src), Some(copy.clone()));
+        std::fs::remove_dir_all(&copy).ok();
+    }
 }

@@ -32,6 +32,21 @@ use bap_trace::{EventKind, Tracer};
 use bap_types::stats::CacheStats;
 use bap_types::{BankId, BankMask, BlockAddr, CacheGeometry, CoreId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+
+/// The L2's checkpointed state ([`DnucaL2::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct DnucaState<'a> {
+    banks: Cow<'a, [CacheBank]>,
+    mode: L2Mode,
+    partitions: Cow<'a, [Option<Partition>]>,
+    plan: Cow<'a, Option<PartitionPlan>>,
+    stats: Cow<'a, DnucaStats>,
+    chains: Cow<'a, [Vec<BankId>]>,
+    chain_limit: usize,
+    lookup_isolation: bool,
+    bank_mask: BankMask,
+}
 
 /// Operating mode of the L2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -396,60 +411,53 @@ impl DnucaL2 {
         }
     }
 
-    /// Serialize the full L2 state (bank contents, mode, partitions, plan,
-    /// chains, mask, counters) for checkpointing. The tracer handle is not
-    /// part of the state; restore keeps whatever tracer is attached.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("banks".to_string(), serde::Serialize::to_value(&self.banks)),
-            ("mode".to_string(), serde::Serialize::to_value(&self.mode)),
-            (
-                "partitions".to_string(),
-                serde::Serialize::to_value(&self.partitions),
-            ),
-            ("plan".to_string(), serde::Serialize::to_value(&self.plan)),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-            (
-                "chains".to_string(),
-                serde::Serialize::to_value(&self.chains),
-            ),
-            (
-                "chain_limit".to_string(),
-                serde::Serialize::to_value(&self.chain_limit),
-            ),
-            (
-                "lookup_isolation".to_string(),
-                serde::Serialize::to_value(&self.lookup_isolation),
-            ),
-            (
-                "bank_mask".to_string(),
-                serde::Serialize::to_value(&self.bank_mask),
-            ),
-        ])
+    /// The full L2 state (bank contents, mode, partitions, plan, chains,
+    /// mask, counters) for checkpointing. The tracer handle is not part of
+    /// the state; restore keeps whatever tracer is attached.
+    pub fn snapshot(&self) -> DnucaState<'_> {
+        DnucaState {
+            banks: Cow::Borrowed(&self.banks),
+            mode: self.mode,
+            partitions: Cow::Borrowed(&self.partitions),
+            plan: Cow::Borrowed(&self.plan),
+            stats: Cow::Borrowed(&self.stats),
+            chains: Cow::Borrowed(&self.chains),
+            chain_limit: self.chain_limit,
+            lookup_isolation: self.lookup_isolation,
+            bank_mask: self.bank_mask,
+        }
     }
 
-    /// Overwrite the L2 state from a [`DnucaL2::snapshot`] payload taken on
-    /// an identically-configured cache. Geometry mismatches are typed
-    /// errors and leave the cache in a partially-restored state — callers
-    /// must discard it on failure.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let banks: Vec<CacheBank> = serde::from_field(v, "banks")?;
+    /// Overwrite the L2 state from a [`DnucaL2::snapshot`] taken on an
+    /// identically-configured cache. A bank or core count mismatch is an
+    /// error and leaves the cache untouched.
+    pub fn restore(&mut self, s: DnucaState<'_>) -> Result<(), String> {
+        let DnucaState {
+            banks,
+            mode,
+            partitions,
+            plan,
+            stats,
+            chains,
+            chain_limit,
+            lookup_isolation,
+            bank_mask,
+        } = s;
         if banks.len() != self.banks.len() {
-            return Err(serde::Error::msg("L2 bank count mismatch"));
+            return Err("L2 bank count mismatch".to_string());
         }
-        let partitions: Vec<Option<Partition>> = serde::from_field(v, "partitions")?;
         if partitions.len() != self.num_cores {
-            return Err(serde::Error::msg("L2 core count mismatch"));
+            return Err("L2 core count mismatch".to_string());
         }
-        self.banks = banks;
-        self.partitions = partitions;
-        self.mode = serde::from_field(v, "mode")?;
-        self.plan = serde::from_field(v, "plan")?;
-        self.stats = serde::from_field(v, "stats")?;
-        self.chains = serde::from_field(v, "chains")?;
-        self.chain_limit = serde::from_field(v, "chain_limit")?;
-        self.lookup_isolation = serde::from_field(v, "lookup_isolation")?;
-        self.bank_mask = serde::from_field(v, "bank_mask")?;
+        self.banks = banks.into_owned();
+        self.mode = mode;
+        self.partitions = partitions.into_owned();
+        self.plan = plan.into_owned();
+        self.stats = stats.into_owned();
+        self.chains = chains.into_owned();
+        self.chain_limit = chain_limit;
+        self.lookup_isolation = lookup_isolation;
+        self.bank_mask = bank_mask;
         Ok(())
     }
 

@@ -32,7 +32,7 @@ pub mod set_assoc;
 
 pub use aggregation::AggregationScheme;
 pub use bank::CacheBank;
-pub use dnuca::{DnucaL2, L2AccessOutcome, L2Mode};
+pub use dnuca::{DnucaL2, DnucaState, L2AccessOutcome, L2Mode};
 pub use plan::{BankAllocation, BankUsage, PartitionPlan, PlanError};
 pub use replacement::Policy as ReplacementPolicy;
 pub use set_assoc::{AccessKind, EvictedLine, Line, SetAssocCache};

@@ -11,9 +11,10 @@
 //! `bap-system` uses the cluster for shared-segment workloads; its latency
 //! model prices each [`Transaction`] by its traffic class.
 
-use crate::directory::{DataSource, Directory, Request};
+use crate::directory::{DataSource, Directory, DirectoryState, Request};
 use crate::MoesiState;
 use bap_types::{BlockAddr, CoreId};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// What a memory operation cost in protocol terms.
@@ -27,6 +28,17 @@ pub enum Transaction {
     Forward,
     /// An upgrade (invalidations only, no data).
     Upgrade,
+}
+
+/// The cluster's checkpointed state ([`CoherentCluster::snapshot`]): every
+/// map written as block-sorted pairs.
+#[derive(Serialize, Deserialize)]
+pub struct ClusterState<'a> {
+    directory: DirectoryState<'a>,
+    states: Vec<Vec<(BlockAddr, MoesiState)>>,
+    versions: Vec<Vec<(BlockAddr, u64)>>,
+    memory: Vec<(BlockAddr, u64)>,
+    latest: Vec<(BlockAddr, u64)>,
 }
 
 /// N private caches + directory + versioned memory.
@@ -201,68 +213,48 @@ impl CoherentCluster {
         self.latest.get(&block).copied().unwrap_or(0)
     }
 
-    /// Serialize the full cluster state (directory, per-core line states and
-    /// data versions, memory image) for checkpointing. All maps are sorted
-    /// by block so identical states produce byte-identical snapshots.
-    pub fn snapshot(&self) -> serde::Value {
-        fn sorted<T: Copy + serde::Serialize>(m: &HashMap<BlockAddr, T>) -> serde::Value {
+    /// The full cluster state (directory, per-core line states and data
+    /// versions, memory image) for checkpointing. All maps are sorted by
+    /// block so identical states produce byte-identical snapshots.
+    pub fn snapshot(&self) -> ClusterState<'_> {
+        fn sorted<T: Copy>(m: &HashMap<BlockAddr, T>) -> Vec<(BlockAddr, T)> {
             let mut v: Vec<(BlockAddr, T)> = m.iter().map(|(&b, &x)| (b, x)).collect();
             v.sort_unstable_by_key(|&(b, _)| b);
-            serde::Serialize::to_value(&v)
+            v
         }
-        serde::Value::Object(vec![
-            ("directory".to_string(), self.directory.snapshot()),
-            (
-                "states".to_string(),
-                serde::Value::Array(self.states.iter().map(sorted).collect()),
-            ),
-            (
-                "versions".to_string(),
-                serde::Value::Array(self.versions.iter().map(sorted).collect()),
-            ),
-            ("memory".to_string(), sorted(&self.memory)),
-            ("latest".to_string(), sorted(&self.latest)),
-        ])
+        ClusterState {
+            directory: self.directory.snapshot(),
+            states: self.states.iter().map(sorted).collect(),
+            versions: self.versions.iter().map(sorted).collect(),
+            memory: sorted(&self.memory),
+            latest: sorted(&self.latest),
+        }
     }
 
     /// Overwrite the cluster state from a [`CoherentCluster::snapshot`]
-    /// payload taken on a cluster of the same core count.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        fn unsorted<T: serde::Deserialize>(
-            v: &serde::Value,
-        ) -> Result<HashMap<BlockAddr, T>, serde::Error> {
-            let pairs: Vec<(BlockAddr, T)> =
-                serde::Deserialize::deserialize(&mut serde::Reader::from_tree(v))?;
-            Ok(pairs.into_iter().collect())
-        }
-        fn per_core<T: serde::Deserialize>(
-            v: &serde::Value,
-            name: &str,
-            n: usize,
-        ) -> Result<Vec<HashMap<BlockAddr, T>>, serde::Error> {
-            let arr = v
-                .get(name)
-                .and_then(serde::Value::as_array)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")))?;
-            if arr.len() != n {
-                return Err(serde::Error::msg(format!("{name}: core count mismatch")));
+    /// taken on a cluster of the same core count. A core count mismatch is
+    /// an error and leaves the cluster untouched.
+    pub fn restore(&mut self, s: ClusterState<'_>) -> Result<(), String> {
+        let ClusterState {
+            directory,
+            states,
+            versions,
+            memory,
+            latest,
+        } = s;
+        for (name, n) in [("states", states.len()), ("versions", versions.len())] {
+            if n != self.num_cores {
+                return Err(format!("{name}: core count mismatch"));
             }
-            arr.iter().map(unsorted).collect()
         }
-        self.directory.restore(
-            v.get("directory")
-                .ok_or_else(|| serde::Error::msg("missing field `directory`"))?,
-        )?;
-        self.states = per_core(v, "states", self.num_cores)?;
-        self.versions = per_core(v, "versions", self.num_cores)?;
-        self.memory = unsorted(
-            v.get("memory")
-                .ok_or_else(|| serde::Error::msg("missing field `memory`"))?,
-        )?;
-        self.latest = unsorted(
-            v.get("latest")
-                .ok_or_else(|| serde::Error::msg("missing field `latest`"))?,
-        )?;
+        fn unsorted<T>(pairs: Vec<(BlockAddr, T)>) -> HashMap<BlockAddr, T> {
+            pairs.into_iter().collect()
+        }
+        self.directory.restore(directory);
+        self.states = states.into_iter().map(unsorted).collect();
+        self.versions = versions.into_iter().map(unsorted).collect();
+        self.memory = unsorted(memory);
+        self.latest = unsorted(latest);
         Ok(())
     }
 

@@ -9,6 +9,8 @@
 
 use crate::MoesiState;
 use bap_types::{BlockAddr, CoreId, CoreSet};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A coherence request from one core's private cache.
@@ -68,7 +70,7 @@ struct Entry {
 }
 
 /// Protocol traffic counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirectoryStats {
     /// GetS/GetM transactions processed.
     pub transactions: u64,
@@ -78,6 +80,14 @@ pub struct DirectoryStats {
     pub invalidations: u64,
     /// Write-backs to memory.
     pub writebacks: u64,
+}
+
+/// The directory's checkpointed state ([`Directory::snapshot`]): entries
+/// as block-sorted `(block, owner, sharers)` tuples.
+#[derive(Serialize, Deserialize)]
+pub struct DirectoryState<'a> {
+    entries: Vec<(BlockAddr, Option<CoreId>, CoreSet)>,
+    stats: Cow<'a, DirectoryStats>,
 }
 
 /// The exact MOESI directory.
@@ -98,30 +108,29 @@ impl Directory {
         &self.stats
     }
 
-    /// Serialize the directory state for checkpointing. Entries are sorted
-    /// by block so identical states produce byte-identical snapshots.
-    pub fn snapshot(&self) -> serde::Value {
-        let mut entries: Vec<(BlockAddr, Option<CoreId>, CoreSet)> = self
+    /// The directory state for checkpointing. Entries are sorted by block
+    /// so identical states produce byte-identical snapshots.
+    pub fn snapshot(&self) -> DirectoryState<'_> {
+        let mut entries: Vec<_> = self
             .entries
             .iter()
             .map(|(&block, e)| (block, e.owner, e.sharers))
             .collect();
         entries.sort_unstable_by_key(|&(block, _, _)| block);
-        serde::Value::Object(vec![
-            ("entries".to_string(), serde::Serialize::to_value(&entries)),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-        ])
+        DirectoryState {
+            entries,
+            stats: Cow::Borrowed(&self.stats),
+        }
     }
 
-    /// Overwrite the directory state from a [`Directory::snapshot`] payload.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let entries: Vec<(BlockAddr, Option<CoreId>, CoreSet)> = serde::from_field(v, "entries")?;
+    /// Overwrite the directory state from a [`Directory::snapshot`].
+    pub fn restore(&mut self, s: DirectoryState<'_>) {
+        let DirectoryState { entries, stats } = s;
         self.entries = entries
             .into_iter()
             .map(|(block, owner, sharers)| (block, Entry { owner, sharers }))
             .collect();
-        self.stats = serde::from_field(v, "stats")?;
-        Ok(())
+        self.stats = stats.into_owned();
     }
 
     /// Cores the directory believes hold `block` (owner + sharers).

@@ -17,8 +17,8 @@
 pub mod cluster;
 pub mod directory;
 
-pub use cluster::CoherentCluster;
-pub use directory::{DataSource, Directory, Request, Response, ShardedDirectory};
+pub use cluster::{ClusterState, CoherentCluster};
+pub use directory::{DataSource, Directory, DirectoryState, Request, Response, ShardedDirectory};
 
 use serde::{Deserialize, Serialize};
 

@@ -57,9 +57,11 @@ use bap_types::{
     BankId, BankMask, BlockAddr, ControlConfig, CoreId, Cycle, DegradedTopology, SloSpec, Topology,
     WclParams,
 };
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Which partitioning policy the system runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Policy {
     /// Fully shared LRU cache (the *No-partitions* baseline).
     NoPartition,
@@ -73,7 +75,7 @@ pub enum Policy {
 /// guard keys its rule checks off this: only solver-produced plans promise
 /// the full Bank-aware Rules 1–3 (the ladder's repair and equal-fallback
 /// rungs trade rule conformance for survival, by design).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanSource {
     /// No plan installed yet.
     #[default]
@@ -107,7 +109,7 @@ impl PlanSource {
 
 /// The mutable hysteresis state machine (serialized with the controller so
 /// checkpoint/restore resumes hold-offs and flip histories exactly).
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 struct HysteresisState {
     /// Signatures of recently *installed* plans, oldest first.
     plan_sigs: Vec<u64>,
@@ -119,6 +121,27 @@ struct HysteresisState {
     holdoff_level: u32,
     /// The curves at the last install — the phase detector's baseline.
     curves_at_install: Option<Vec<MissRatioCurve>>,
+}
+
+/// A controller's checkpointed state ([`Controller::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct ControllerState<'a> {
+    profilers: Cow<'a, [StackProfiler]>,
+    mask: BankMask,
+    epochs: u64,
+    last_plan: Cow<'a, Option<PartitionPlan>>,
+    counters: FaultCounters,
+    plan_source: PlanSource,
+    hysteresis: Cow<'a, HysteresisState>,
+    /// The QoS members are absent from pre-QoS checkpoints: empty.
+    #[serde(default)]
+    ledger: Cow<'a, CoreDegradeLedger>,
+    #[serde(default)]
+    slo_admitted: Cow<'a, [bool]>,
+    /// Absent from pre-incremental checkpoints: a cold solver, which is
+    /// always safe (the first solve after restore just runs cold).
+    #[serde(default)]
+    incremental: Cow<'a, IncrementalSolver>,
 }
 
 /// Deterministic signature of a plan's physical shape, for flip-flop
@@ -446,83 +469,62 @@ impl Controller {
         self.enforce_slo(None)
     }
 
-    /// Serialize the controller's dynamic state (profilers, mask, epoch
-    /// count, last plan, fault counters) for checkpointing. Policy,
-    /// topology and solver configuration are rebuilt from the run options.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "profilers".to_string(),
-                serde::Serialize::to_value(&self.profilers),
-            ),
-            ("mask".to_string(), serde::Serialize::to_value(&self.mask)),
-            (
-                "epochs".to_string(),
-                serde::Serialize::to_value(&self.epochs),
-            ),
-            (
-                "last_plan".to_string(),
-                serde::Serialize::to_value(&self.last_plan),
-            ),
-            (
-                "counters".to_string(),
-                serde::Serialize::to_value(&self.counters),
-            ),
-            (
-                "plan_source".to_string(),
-                serde::Serialize::to_value(&self.plan_source),
-            ),
-            (
-                "hysteresis".to_string(),
-                serde::Serialize::to_value(&self.hyst),
-            ),
-            (
-                "ledger".to_string(),
-                serde::Serialize::to_value(&self.ledger),
-            ),
-            (
-                "slo_admitted".to_string(),
-                serde::Serialize::to_value(
-                    &self
-                        .qos
-                        .as_ref()
-                        .map(|q| q.admitted.clone())
-                        .unwrap_or_default(),
-                ),
-            ),
-            (
-                "incremental".to_string(),
-                serde::Serialize::to_value(&self.incr),
-            ),
-        ])
+    /// The controller's dynamic state (profilers, mask, epoch count, last
+    /// plan, fault counters, hysteresis, QoS and warm-start state) for
+    /// checkpointing. Policy, topology and solver configuration are
+    /// rebuilt from the run options.
+    pub fn snapshot(&self) -> ControllerState<'_> {
+        ControllerState {
+            profilers: Cow::Borrowed(&self.profilers),
+            mask: self.mask,
+            epochs: self.epochs,
+            last_plan: Cow::Borrowed(&self.last_plan),
+            counters: self.counters,
+            plan_source: self.plan_source,
+            hysteresis: Cow::Borrowed(&self.hyst),
+            ledger: Cow::Borrowed(&self.ledger),
+            slo_admitted: match &self.qos {
+                Some(q) => Cow::Borrowed(&q.admitted),
+                None => Cow::Borrowed(&[]),
+            },
+            incremental: Cow::Borrowed(&self.incr),
+        }
     }
 
-    /// Overwrite the dynamic state from a [`Controller::snapshot`] payload
-    /// taken on an identically-configured controller.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let profilers: Vec<StackProfiler> = serde::from_field(v, "profilers")?;
+    /// Overwrite the dynamic state from a [`Controller::snapshot`] taken on
+    /// an identically-configured controller. A core count mismatch is an
+    /// error and leaves the controller untouched.
+    pub fn restore(&mut self, s: ControllerState<'_>) -> Result<(), String> {
+        let ControllerState {
+            profilers,
+            mask,
+            epochs,
+            last_plan,
+            counters,
+            plan_source,
+            hysteresis,
+            ledger,
+            slo_admitted,
+            incremental,
+        } = s;
         if profilers.len() != self.profilers.len() {
-            return Err(serde::Error::msg("controller core count mismatch"));
+            return Err("controller core count mismatch".to_string());
         }
-        self.profilers = profilers;
-        self.mask = serde::from_field(v, "mask")?;
-        self.epochs = serde::from_field(v, "epochs")?;
-        self.last_plan = serde::from_field(v, "last_plan")?;
-        self.counters = serde::from_field(v, "counters")?;
-        self.plan_source = serde::from_field(v, "plan_source")?;
-        self.hyst = serde::from_field(v, "hysteresis")?;
-        // QoS state is absent from pre-QoS snapshots; default to empty.
-        self.ledger = serde::from_field_or_default(v, "ledger")?;
-        let admitted: Vec<bool> = serde::from_field_or_default(v, "slo_admitted")?;
+        self.profilers = profilers.into_owned();
+        self.mask = mask;
+        self.epochs = epochs;
+        self.last_plan = last_plan.into_owned();
+        self.counters = counters;
+        self.plan_source = plan_source;
+        self.hyst = hysteresis.into_owned();
+        self.ledger = ledger.into_owned();
         if let Some(q) = &mut self.qos {
-            if admitted.len() == q.admitted.len() {
-                q.admitted = admitted;
+            if slo_admitted.len() == q.admitted.len() {
+                q.admitted = slo_admitted.into_owned();
                 q.evaluated = true;
             }
         }
-        // Absent from pre-incremental snapshots; a default (cold) solver is
-        // always safe — the first solve after restore just runs cold.
-        self.incr = serde::from_field_or_default(v, "incremental")?;
+        self.incr = incremental.into_owned();
         Ok(())
     }
 
@@ -1391,7 +1393,7 @@ mod tests {
         let snap = c.snapshot();
         let mut r = controller(Policy::BankAware);
         r.set_control(*c.control());
-        r.restore(&snap).unwrap();
+        r.restore(snap).unwrap();
         assert_eq!(r.plan_source(), c.plan_source());
         assert_eq!(r.hyst, c.hyst, "flip history and hold-off survive restore");
         assert_eq!(r.in_holdoff(), c.in_holdoff());
@@ -1468,7 +1470,7 @@ mod tests {
         let snap = c.snapshot();
         let mut r = controller(Policy::BankAware);
         r.set_control(*c.control());
-        r.restore(&snap).unwrap();
+        r.restore(snap).unwrap();
         r.epoch_boundary_with_curves(curves);
         let stats = r.incremental_stats();
         assert_eq!(stats.full_solves, 1, "restored controllers resume warm");
@@ -1620,7 +1622,7 @@ mod tests {
         let snap = c.snapshot();
         let mut r = controller(Policy::BankAware);
         r.set_qos(slos, wcl_params(), None);
-        r.restore(&snap).unwrap();
+        r.restore(snap).unwrap();
         assert_eq!(r.slo_admitted(CoreId(1)), c.slo_admitted(CoreId(1)));
         assert_eq!(r.core_degrades(), c.core_degrades());
         assert_eq!(r.slo_bounds(), c.slo_bounds());

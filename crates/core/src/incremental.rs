@@ -531,9 +531,8 @@ mod tests {
         let curves: Vec<_> = (0..16).map(|c| knee(1000.0, 10.0, 8 + c)).collect();
         let mut inc = IncrementalSolver::new();
         warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
-        let v = serde::Serialize::to_value(&inc);
-        let mut restored: IncrementalSolver =
-            serde::Deserialize::deserialize(&mut serde::Reader::from_tree(&v)).unwrap();
+        let text = serde_json::to_string(&inc).unwrap();
+        let mut restored: IncrementalSolver = serde_json::from_str(&text).unwrap();
         assert!(restored.is_warm());
         // The restored solver goes on reusing shards, no cold re-solve.
         let plan = warm_solve(&mut restored, &curves, &machine, &Tracer::off(), 0.0);

@@ -38,13 +38,13 @@ pub use bank_aware::{
     try_bank_aware_partition_traced, validate_bank_rules, validate_bank_rules_masked,
     BankAwareConfig, PartitionError, SolveBudget,
 };
-pub use controller::{Controller, PlanSource, Policy};
+pub use controller::{Controller, ControllerState, PlanSource, Policy};
 pub use incremental::{IncrementalSolver, IncrementalStats};
 pub use projection::{projected_misses, projected_plan_misses, projected_total_misses};
 pub use qos::{admit_cores, build_qos_plan, core_bound, AdmissionOutcome, QosState};
 pub use replication::{ReplItem, Role};
 pub use serve::{
     BatchContext, BrownoutLevel, ClientError, DecisionService, OverloadGovernor, ServeClient,
-    ServeConfig, Server,
+    ServeConfig, Server, ServiceState,
 };
 pub use unrestricted::{unrestricted_partition, unrestricted_partition_traced};

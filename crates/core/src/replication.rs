@@ -312,8 +312,7 @@ impl DecisionService {
         tick: u64,
         term: u64,
     ) -> Result<(), RecoveryError> {
-        let cp = Checkpoint::decode(state)?;
-        self.restore_from_checkpoint(&cp)?;
+        self.restore_from_checkpoint(Checkpoint::decode(state)?)?;
         if let Some(repl) = self.repl.as_mut() {
             if term > repl.term {
                 repl.term = term;

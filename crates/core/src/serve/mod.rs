@@ -54,5 +54,5 @@ mod tick;
 
 pub use governor::{BatchContext, BrownoutLevel, OverloadGovernor};
 pub use server::{ClientError, ServeClient, Server};
-pub use service::{DecisionService, ServeConfig};
+pub use service::{DecisionService, ServeConfig, ServiceState};
 pub(crate) use tick::run_tick;

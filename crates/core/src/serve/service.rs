@@ -4,7 +4,7 @@
 
 use super::governor::{BatchContext, BrownoutLevel, OverloadGovernor};
 use crate::bank_aware::{try_bank_aware_partition, BankAwareConfig};
-use crate::controller::{Controller, Policy};
+use crate::controller::{Controller, ControllerState, Policy};
 use crate::replication::ReplState;
 use bap_cache::PartitionPlan;
 use bap_msa::{EngineKind, MissRatioCurve, ProfilerConfig};
@@ -16,6 +16,8 @@ use bap_trace::{EventKind, NoopSink, Tracer};
 use bap_types::{
     BankId, ControlConfig, DegradedTopology, OverloadConfig, ReplicationConfig, Topology,
 };
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -134,6 +136,33 @@ impl SessionState {
             .map(|s| WireSummary::from_summary(&s))
             .unwrap_or_default()
     }
+}
+
+/// The service's checkpointed state ([`DecisionService::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct ServiceState<'a> {
+    tick: u64,
+    requests: u64,
+    /// Absent from pre-overload checkpoints: no session quarantined.
+    #[serde(default)]
+    poisoned: Vec<u64>,
+    sessions: Vec<SessionEntry<'a>>,
+    /// The fencing term, written only by a replicated service, so an
+    /// unreplicated checkpoint keeps the pre-replication bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    term: Option<u64>,
+}
+
+/// One session of a [`ServiceState`].
+#[derive(Serialize, Deserialize)]
+struct SessionEntry<'a> {
+    id: u64,
+    cores: usize,
+    state: ControllerState<'a>,
+    /// The exactly-once cache, written only when populated (replicated
+    /// services), so an unreplicated checkpoint keeps its bytes.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    dedup: Option<Cow<'a, (u64, ResponseKind)>>,
 }
 
 /// Total ways per core of a plan (the wire view of an assignment).
@@ -577,8 +606,10 @@ impl DecisionService {
     }
 
     fn handle_checkpoint(&mut self) -> ResponseKind {
-        let cp = self.checkpoint();
-        let bytes = self.history.push(&cp);
+        // The ring is set aside while the checkpoint borrows the service.
+        let mut history = std::mem::replace(&mut self.history, RecoveryManager::new(1));
+        let bytes = history.push(&self.checkpoint());
+        self.history = history;
         if let Some(path) = &self.cfg.checkpoint_path {
             // The file gets the bytes the ring just encoded.
             let encoded = self.history.newest().expect("a checkpoint was just pushed");
@@ -598,96 +629,62 @@ impl DecisionService {
 
     /// Snapshot the whole service — tick counters plus every session's
     /// controller state (profilers, installed plan, hysteresis, warm
-    /// solver baselines) — as an opaque payload.
-    pub fn snapshot(&self) -> serde::Value {
-        let sessions: Vec<serde::Value> = self
-            .sessions
-            .iter()
-            .map(|(id, s)| {
-                let mut members = vec![
-                    ("id".to_string(), serde::Serialize::to_value(id)),
-                    ("cores".to_string(), serde::Serialize::to_value(&s.cores)),
-                    ("state".to_string(), s.controller.snapshot()),
-                ];
-                // The exactly-once cache rides only when populated, so
-                // unreplicated snapshots stay byte-identical.
-                if let Some(dedup) = &s.last_decision {
-                    members.push(("dedup".to_string(), serde::Serialize::to_value(dedup)));
-                }
-                serde::Value::Object(members)
-            })
-            .collect();
-        let poisoned: Vec<u64> = self.poisoned.iter().copied().collect();
-        let mut members = vec![
-            ("tick".to_string(), serde::Serialize::to_value(&self.tick)),
-            (
-                "requests".to_string(),
-                serde::Serialize::to_value(&self.requests),
-            ),
-            (
-                "poisoned".to_string(),
-                serde::Serialize::to_value(&poisoned),
-            ),
-            ("sessions".to_string(), serde::Value::Array(sessions)),
-        ];
-        // Likewise the fencing term: only a replicated service has one.
-        if let Some(repl) = &self.repl {
-            members.push(("term".to_string(), serde::Serialize::to_value(&repl.term)));
+    /// solver baselines) — borrowing every member.
+    pub fn snapshot(&self) -> ServiceState<'_> {
+        ServiceState {
+            tick: self.tick,
+            requests: self.requests,
+            poisoned: self.poisoned.iter().copied().collect(),
+            sessions: self
+                .sessions
+                .iter()
+                .map(|(&id, s)| SessionEntry {
+                    id,
+                    cores: s.cores,
+                    state: s.controller.snapshot(),
+                    dedup: s.last_decision.as_ref().map(Cow::Borrowed),
+                })
+                .collect(),
+            term: self.repl.as_ref().map(|r| r.term),
         }
-        serde::Value::Object(members)
     }
 
-    /// Rebuild the service from a [`DecisionService::snapshot`] payload.
-    /// Atomic: either every session restores and the snapshot's state
-    /// replaces the current one wholesale, or the service is left
-    /// untouched. Trace summaries restart from zero (they narrate a
-    /// process lifetime, not a logical one); warm-start solver baselines
-    /// are restored, so the next unchanged-curve decision is a warm hit —
-    /// the zero-warmup restart.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let tick: u64 = serde::from_field(v, "tick")?;
-        let requests: u64 = serde::from_field(v, "requests")?;
-        let entries = match v.get("sessions") {
-            Some(serde::Value::Array(items)) => items,
-            _ => return Err(serde::Error::msg("snapshot has no session list")),
-        };
+    /// Rebuild the service from a [`DecisionService::snapshot`]. Atomic:
+    /// either every session restores and the snapshot's state replaces the
+    /// current one wholesale, or the service is left untouched. Trace
+    /// summaries restart from zero (they narrate a process lifetime, not a
+    /// logical one); warm-start solver baselines are restored, so the next
+    /// unchanged-curve decision is a warm hit — the zero-warmup restart.
+    pub fn restore(&mut self, s: ServiceState<'_>) -> Result<(), String> {
+        let ServiceState {
+            tick,
+            requests,
+            poisoned,
+            sessions: entries,
+            term,
+        } = s;
         let mut sessions = BTreeMap::new();
         for entry in entries {
-            let id: u64 = serde::from_field(entry, "id")?;
-            let cores: usize = serde::from_field(entry, "cores")?;
-            let state = entry
-                .get("state")
-                .ok_or_else(|| serde::Error::msg(format!("session {id} has no state")))?;
+            let SessionEntry {
+                id,
+                cores,
+                state,
+                dedup,
+            } = entry;
             let mut session = SessionState::new(cores, &self.cfg);
             session.controller.restore(state)?;
-            // Optional: the exactly-once cache of a replicated snapshot.
-            if entry.get("dedup").is_some() {
-                session.last_decision = Some(serde::from_field(entry, "dedup")?);
-            }
+            session.last_decision = dedup.map(Cow::into_owned);
             sessions.insert(id, session);
         }
-        // Old snapshots (pre-overload) have no poisoned list; treat the
-        // absence as empty rather than rejecting the checkpoint.
-        let poisoned: BTreeSet<u64> = match v.get("poisoned") {
-            Some(_) => serde::from_field::<Vec<u64>>(v, "poisoned")?
-                .into_iter()
-                .collect(),
-            None => BTreeSet::new(),
-        };
         let restored = sessions.len();
         self.sessions = sessions;
-        self.poisoned = poisoned;
+        self.poisoned = poisoned.into_iter().collect();
         self.tick = tick;
         self.requests = requests;
         // A snapshot's term can only advance the fence, never lower it:
         // a replica that already observed a higher term stays fenced.
-        if let Some(repl) = self.repl.as_mut() {
-            if v.get("term").is_some() {
-                let term: u64 = serde::from_field(v, "term")?;
-                if term > repl.term {
-                    repl.term = term;
-                }
-            }
+        if let (Some(repl), Some(term)) = (self.repl.as_mut(), term) {
+            repl.term = repl.term.max(term);
         }
         self.tracer.emit(|| EventKind::ServerRestored {
             sessions: restored,
@@ -698,22 +695,26 @@ impl DecisionService {
 
     /// Wrap the current state as a versioned, checksummed checkpoint
     /// (`epoch` carries the tick).
-    pub fn checkpoint(&self) -> Checkpoint {
+    pub fn checkpoint(&self) -> Checkpoint<ServiceState<'_>> {
         Checkpoint::new(self.tick, self.snapshot())
     }
 
-    /// Restore from a decoded checkpoint.
-    pub fn restore_from_checkpoint(&mut self, cp: &Checkpoint) -> Result<(), RecoveryError> {
-        self.restore(&cp.payload)
-            .map_err(|e| RecoveryError::Rejected(e.to_string()))
+    /// Restore from a decoded checkpoint; a state this service cannot take
+    /// (a session's core count mismatch) is [`RecoveryError::Rejected`].
+    pub fn restore_from_checkpoint(
+        &mut self,
+        cp: Checkpoint<ServiceState<'_>>,
+    ) -> Result<(), RecoveryError> {
+        self.restore(cp.payload).map_err(RecoveryError::Rejected)
     }
 
     /// Cold-start restore from a checkpoint file written via the
     /// configured `checkpoint_path`. Returns the restored tick.
     pub fn restore_from_path(&mut self, path: &std::path::Path) -> Result<u64, RecoveryError> {
         let cp = bap_recovery::load_checkpoint_file(path)?;
-        self.restore_from_checkpoint(&cp)?;
-        Ok(cp.epoch)
+        let epoch = cp.epoch;
+        self.restore_from_checkpoint(cp)?;
+        Ok(epoch)
     }
 
     /// Walk the in-memory checkpoint ring newest-first and restore from
@@ -722,7 +723,10 @@ impl DecisionService {
     /// tick that survived, or every rejection when the ring is exhausted.
     pub fn recover(&mut self) -> Result<(RecoveryRung, u64), Vec<RecoveryError>> {
         let history = std::mem::replace(&mut self.history, RecoveryManager::new(1));
-        let out = history.recover(|cp| self.restore_from_checkpoint(cp).map(|()| cp.epoch));
+        let out = history.recover(|cp| {
+            let epoch = cp.epoch;
+            self.restore_from_checkpoint(cp).map(|()| epoch)
+        });
         self.history = history;
         out.map(|o| (o.rung, o.value))
     }
@@ -1043,7 +1047,7 @@ pub(crate) mod tests {
 
         let mut restored = DecisionService::new(ServeConfig::default());
         restored
-            .restore_from_checkpoint(&cp)
+            .restore_from_checkpoint(cp)
             .expect("restore succeeds");
         assert_eq!(restored.num_sessions(), 1);
 

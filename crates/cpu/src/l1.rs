@@ -7,6 +7,8 @@
 use bap_cache::{AccessKind, SetAssocCache};
 use bap_types::stats::CacheStats;
 use bap_types::{BlockAddr, CacheGeometry, CoreId};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One core's L1 data cache.
 #[derive(Clone, Debug)]
@@ -66,21 +68,28 @@ impl L1Cache {
         self.cache.occupancy()
     }
 
-    /// Serialize the full L1 state (contents + counters) for checkpointing.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("cache".to_string(), serde::Serialize::to_value(&self.cache)),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-        ])
+    /// The full L1 state (contents + counters) for checkpointing.
+    pub fn snapshot(&self) -> L1State<'_> {
+        L1State {
+            cache: Cow::Borrowed(&self.cache),
+            stats: self.stats,
+        }
     }
 
-    /// Overwrite this L1's state from a [`L1Cache::snapshot`] payload taken
-    /// on an identically-configured cache.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        self.cache = serde::from_field(v, "cache")?;
-        self.stats = serde::from_field(v, "stats")?;
-        Ok(())
+    /// Overwrite this L1's state from a [`L1Cache::snapshot`] taken on an
+    /// identically-configured cache.
+    pub fn restore(&mut self, s: L1State<'_>) {
+        let L1State { cache, stats } = s;
+        self.cache = cache.into_owned();
+        self.stats = stats;
     }
+}
+
+/// An L1's checkpointed state ([`L1Cache::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct L1State<'a> {
+    cache: Cow<'a, SetAssocCache<()>>,
+    stats: CacheStats,
 }
 
 #[cfg(test)]

@@ -22,10 +22,12 @@
 
 pub mod l1;
 
-pub use l1::L1Cache;
+pub use l1::{L1Cache, L1State};
 
 use bap_types::stats::CoreStats;
 use bap_types::{BlockAddr, CoreId, Cycle, Op, SystemConfig};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// The memory hierarchy below the L1, as seen by one core.
@@ -43,6 +45,19 @@ pub trait MemorySystem {
 struct RobEntry {
     completion: Cycle,
     count: u32,
+}
+
+/// A core's checkpointed state ([`CoreModel::snapshot`]). The ROB is
+/// written as `(completion, count)` pairs.
+#[derive(Serialize, Deserialize)]
+pub struct CoreState<'a> {
+    l1: L1State<'a>,
+    frontier_ticks: u64,
+    cycle_base: Cycle,
+    rob: Vec<(Cycle, u32)>,
+    rob_occupancy: usize,
+    mshrs: Cow<'a, [(BlockAddr, Cycle)]>,
+    stats: Cow<'a, CoreStats>,
 }
 
 /// The core timing model.
@@ -120,50 +135,44 @@ impl CoreModel {
         self.l1.invalidate(block)
     }
 
-    /// Serialize the core's dynamic state (L1, pipeline frontier, ROB,
-    /// MSHRs, statistics) for checkpointing. Configuration fields (width,
+    /// The core's dynamic state (L1, pipeline frontier, ROB, MSHRs,
+    /// statistics) for checkpointing. Configuration fields (width,
     /// capacities, latencies) are *not* included — restore rebuilds them
     /// from the same [`SystemConfig`].
-    pub fn snapshot(&self) -> serde::Value {
-        let rob: Vec<(u64, u32)> = self.rob.iter().map(|e| (e.completion, e.count)).collect();
-        serde::Value::Object(vec![
-            ("l1".to_string(), self.l1.snapshot()),
-            (
-                "frontier_ticks".to_string(),
-                serde::Serialize::to_value(&self.frontier_ticks),
-            ),
-            (
-                "cycle_base".to_string(),
-                serde::Serialize::to_value(&self.cycle_base),
-            ),
-            ("rob".to_string(), serde::Serialize::to_value(&rob)),
-            (
-                "rob_occupancy".to_string(),
-                serde::Serialize::to_value(&self.rob_occupancy),
-            ),
-            ("mshrs".to_string(), serde::Serialize::to_value(&self.mshrs)),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-        ])
+    pub fn snapshot(&self) -> CoreState<'_> {
+        CoreState {
+            l1: self.l1.snapshot(),
+            frontier_ticks: self.frontier_ticks,
+            cycle_base: self.cycle_base,
+            rob: self.rob.iter().map(|e| (e.completion, e.count)).collect(),
+            rob_occupancy: self.rob_occupancy,
+            mshrs: Cow::Borrowed(&self.mshrs),
+            stats: Cow::Borrowed(&self.stats),
+        }
     }
 
     /// Overwrite this core's dynamic state from a [`CoreModel::snapshot`]
-    /// payload taken on an identically-configured core.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        self.l1.restore(
-            v.get("l1")
-                .ok_or_else(|| serde::Error::msg("missing field `l1`"))?,
-        )?;
-        self.frontier_ticks = serde::from_field(v, "frontier_ticks")?;
-        self.cycle_base = serde::from_field(v, "cycle_base")?;
-        let rob: Vec<(u64, u32)> = serde::from_field(v, "rob")?;
+    /// taken on an identically-configured core.
+    pub fn restore(&mut self, s: CoreState<'_>) {
+        let CoreState {
+            l1,
+            frontier_ticks,
+            cycle_base,
+            rob,
+            rob_occupancy,
+            mshrs,
+            stats,
+        } = s;
+        self.l1.restore(l1);
+        self.frontier_ticks = frontier_ticks;
+        self.cycle_base = cycle_base;
         self.rob = rob
             .into_iter()
             .map(|(completion, count)| RobEntry { completion, count })
             .collect();
-        self.rob_occupancy = serde::from_field(v, "rob_occupancy")?;
-        self.mshrs = serde::from_field(v, "mshrs")?;
-        self.stats = serde::from_field(v, "stats")?;
-        Ok(())
+        self.rob_occupancy = rob_occupancy;
+        self.mshrs = mshrs.into_owned();
+        self.stats = stats.into_owned();
     }
 
     #[inline]

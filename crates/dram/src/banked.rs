@@ -15,6 +15,7 @@
 use crate::DramStats;
 use bap_types::{BankRegulator, BlockAddr, Cycle, RegulatorConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Banked-DRAM geometry and timing (all times in core cycles).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -231,35 +232,35 @@ impl BankedDram {
         self.rows = RowStats::default();
     }
 
-    /// Serialize the dynamic state (open rows, bank/channel reservations,
-    /// counters) for checkpointing. Geometry and timings are configuration.
-    pub fn snapshot(&self) -> serde::Value {
-        let banks: Vec<(Option<u64>, Cycle)> = self
-            .banks
-            .iter()
-            .map(|b| (b.open_row, b.busy_until))
-            .collect();
-        serde::Value::Object(vec![
-            ("banks".to_string(), serde::Serialize::to_value(&banks)),
-            (
-                "channel_free_at".to_string(),
-                serde::Serialize::to_value(&self.channel_free_at),
-            ),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-            ("rows".to_string(), serde::Serialize::to_value(&self.rows)),
-            (
-                "regulator".to_string(),
-                serde::Serialize::to_value(&self.regulator),
-            ),
-        ])
+    /// The dynamic state (open rows, bank/channel reservations, counters)
+    /// for checkpointing. Geometry and timings are configuration.
+    pub fn snapshot(&self) -> BankedDramState<'_> {
+        BankedDramState {
+            banks: self
+                .banks
+                .iter()
+                .map(|b| (b.open_row, b.busy_until))
+                .collect(),
+            channel_free_at: Cow::Borrowed(&self.channel_free_at),
+            stats: Cow::Borrowed(&self.stats),
+            rows: Cow::Borrowed(&self.rows),
+            regulator: Cow::Borrowed(&self.regulator),
+        }
     }
 
-    /// Overwrite the dynamic state from a [`BankedDram::snapshot`] payload
-    /// taken on an identically-configured device.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let banks: Vec<(Option<u64>, Cycle)> = serde::from_field(v, "banks")?;
+    /// Overwrite the dynamic state from a [`BankedDram::snapshot`] taken on
+    /// an identically-configured device. A bank count mismatch is an error
+    /// and leaves the device untouched.
+    pub fn restore(&mut self, s: BankedDramState<'_>) -> Result<(), String> {
+        let BankedDramState {
+            banks,
+            channel_free_at,
+            stats,
+            rows,
+            regulator,
+        } = s;
         if banks.len() != self.banks.len() {
-            return Err(serde::Error::msg("banked-DRAM geometry mismatch"));
+            return Err("banked-DRAM geometry mismatch".to_string());
         }
         self.banks = banks
             .into_iter()
@@ -268,13 +269,25 @@ impl BankedDram {
                 busy_until,
             })
             .collect();
-        self.channel_free_at = serde::from_field(v, "channel_free_at")?;
-        self.stats = serde::from_field(v, "stats")?;
-        self.rows = serde::from_field(v, "rows")?;
-        // Absent in pre-QoS snapshots: default to unarmed.
-        self.regulator = serde::from_field_or_default(v, "regulator")?;
+        self.channel_free_at = channel_free_at.into_owned();
+        self.stats = stats.into_owned();
+        self.rows = rows.into_owned();
+        self.regulator = regulator.into_owned();
         Ok(())
     }
+}
+
+/// The banked model's checkpointed state ([`BankedDram::snapshot`]). Each
+/// bank is written as an `(open_row, busy_until)` pair.
+#[derive(Serialize, Deserialize)]
+pub struct BankedDramState<'a> {
+    banks: Vec<(Option<u64>, Cycle)>,
+    channel_free_at: Cow<'a, [Cycle]>,
+    stats: Cow<'a, DramStats>,
+    rows: Cow<'a, RowStats>,
+    /// Absent in pre-QoS checkpoints: unarmed.
+    #[serde(default)]
+    regulator: Cow<'a, Option<BankRegulator>>,
 }
 
 #[cfg(test)]
@@ -396,9 +409,8 @@ mod tests {
         assert!(worst <= bound, "read {worst} > bound {bound}");
         assert!(d.regulator().unwrap().throttled_requests() > 0);
         // Regulator state round-trips through the snapshot.
-        let snap = d.snapshot();
         let mut back = dram();
-        back.restore(&snap).unwrap();
+        back.restore(d.snapshot()).unwrap();
         assert_eq!(back.regulator(), d.regulator());
     }
 }

@@ -8,10 +8,11 @@
 
 pub mod banked;
 
-pub use banked::{BankedDram, BankedDramConfig, RowStats};
+pub use banked::{BankedDram, BankedDramConfig, BankedDramState, RowStats};
 
 use bap_types::{BankRegulator, Cycle, RegulatorConfig};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Accumulated DRAM counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -145,30 +146,37 @@ impl DramModel {
         self.stats = DramStats::default();
     }
 
-    /// Serialize the dynamic state (channel reservation + counters) for
+    /// The dynamic state (channel reservation + counters) for
     /// checkpointing. Timing parameters are configuration.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "channel_free_at".to_string(),
-                serde::Serialize::to_value(&self.channel_free_at),
-            ),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-            (
-                "regulator".to_string(),
-                serde::Serialize::to_value(&self.regulator),
-            ),
-        ])
+    pub fn snapshot(&self) -> DramState<'_> {
+        DramState {
+            channel_free_at: self.channel_free_at,
+            stats: Cow::Borrowed(&self.stats),
+            regulator: Cow::Borrowed(&self.regulator),
+        }
     }
 
-    /// Overwrite the dynamic state from a [`DramModel::snapshot`] payload.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        self.channel_free_at = serde::from_field(v, "channel_free_at")?;
-        self.stats = serde::from_field(v, "stats")?;
-        // Absent in pre-QoS snapshots: default to unarmed.
-        self.regulator = serde::from_field_or_default(v, "regulator")?;
-        Ok(())
+    /// Overwrite the dynamic state from a [`DramModel::snapshot`].
+    pub fn restore(&mut self, s: DramState<'_>) {
+        let DramState {
+            channel_free_at,
+            stats,
+            regulator,
+        } = s;
+        self.channel_free_at = channel_free_at;
+        self.stats = stats.into_owned();
+        self.regulator = regulator.into_owned();
     }
+}
+
+/// The flat model's checkpointed state ([`DramModel::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct DramState<'a> {
+    channel_free_at: Cycle,
+    stats: Cow<'a, DramStats>,
+    /// Absent in pre-QoS checkpoints: unarmed.
+    #[serde(default)]
+    regulator: Cow<'a, Option<BankRegulator>>,
 }
 
 #[cfg(test)]
@@ -275,9 +283,8 @@ mod tests {
         });
         d.read(0);
         d.read(0);
-        let snap = d.snapshot();
         let mut back = DramModel::table1();
-        back.restore(&snap).unwrap();
+        back.restore(d.snapshot());
         assert_eq!(back.regulator(), d.regulator());
         assert_eq!(back.read(10), d.read(10));
     }

@@ -20,6 +20,8 @@ pub use stats::NocStats;
 
 use bap_types::topology::Floorplan;
 use bap_types::{BankId, BankKind, BankRegulator, CoreId, Cycle, RegulatorConfig, Topology};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A grid point of the mesh floorplan.
@@ -242,54 +244,59 @@ impl NocModel {
         self.stats = NocStats::default();
     }
 
-    /// Serialize the dynamic state (reservations + counters) for
-    /// checkpointing. Topology and occupancy parameters are configuration
-    /// and are rebuilt by the restoring side.
-    pub fn snapshot(&self) -> serde::Value {
+    /// The dynamic state (reservations + counters) for checkpointing.
+    /// Topology and occupancy parameters are configuration and are rebuilt
+    /// by the restoring side.
+    pub fn snapshot(&self) -> NocState<'_> {
         // HashMap keyed by grid edge: encode as a sorted list so snapshots
         // of identical states are byte-identical.
-        let mut edges: Vec<(i64, i64, i64, i64, Cycle)> = self
+        let mut edge_free_at: Vec<_> = self
             .edge_free_at
             .iter()
             .map(|(&((ax, ay), (bx, by)), &free)| (ax, ay, bx, by, free))
             .collect();
-        edges.sort_unstable();
-        serde::Value::Object(vec![
-            (
-                "bank_free_at".to_string(),
-                serde::Serialize::to_value(&self.bank_free_at),
-            ),
-            (
-                "link_free_at".to_string(),
-                serde::Serialize::to_value(&self.link_free_at),
-            ),
-            (
-                "edge_free_at".to_string(),
-                serde::Serialize::to_value(&edges),
-            ),
-            ("stats".to_string(), serde::Serialize::to_value(&self.stats)),
-            (
-                "regulator".to_string(),
-                serde::Serialize::to_value(&self.regulator),
-            ),
-        ])
+        edge_free_at.sort_unstable();
+        NocState {
+            bank_free_at: Cow::Borrowed(&self.bank_free_at),
+            link_free_at: Cow::Borrowed(&self.link_free_at),
+            edge_free_at,
+            stats: Cow::Borrowed(&self.stats),
+            regulator: Cow::Borrowed(&self.regulator),
+        }
     }
 
-    /// Overwrite the dynamic state from a [`NocModel::snapshot`] payload
-    /// taken on an identically-configured model.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        self.bank_free_at = serde::from_field(v, "bank_free_at")?;
-        self.link_free_at = serde::from_field(v, "link_free_at")?;
-        let edges: Vec<(i64, i64, i64, i64, Cycle)> = serde::from_field(v, "edge_free_at")?;
-        self.edge_free_at = edges
+    /// Overwrite the dynamic state from a [`NocModel::snapshot`] taken on
+    /// an identically-configured model.
+    pub fn restore(&mut self, s: NocState<'_>) {
+        let NocState {
+            bank_free_at,
+            link_free_at,
+            edge_free_at,
+            stats,
+            regulator,
+        } = s;
+        self.bank_free_at = bank_free_at.into_owned();
+        self.link_free_at = link_free_at.into_owned();
+        self.edge_free_at = edge_free_at
             .into_iter()
             .map(|(ax, ay, bx, by, free)| (((ax, ay), (bx, by)), free))
             .collect();
-        self.stats = serde::from_field(v, "stats")?;
-        // Absent in pre-QoS snapshots: default to unarmed.
-        self.regulator = serde::from_field_or_default(v, "regulator")?;
-        Ok(())
+        self.stats = stats.into_owned();
+        self.regulator = regulator.into_owned();
     }
+}
+
+/// The network's checkpointed state ([`NocModel::snapshot`]). Grid edges
+/// are written as key-sorted `(ax, ay, bx, by, free_at)` tuples.
+#[derive(Serialize, Deserialize)]
+pub struct NocState<'a> {
+    bank_free_at: Cow<'a, [Cycle]>,
+    link_free_at: Cow<'a, [Cycle]>,
+    edge_free_at: Vec<(i64, i64, i64, i64, Cycle)>,
+    stats: Cow<'a, NocStats>,
+    /// Absent in pre-QoS checkpoints: unarmed.
+    #[serde(default)]
+    regulator: Cow<'a, Option<BankRegulator>>,
 }
 
 #[cfg(test)]
@@ -464,9 +471,8 @@ mod tests {
             assert_eq!(a, b, "huge budget never throttles");
         }
         // Regulator state (buckets + accounting) survives checkpointing.
-        let snap = armed.snapshot();
         let mut restored = noc();
-        restored.restore(&snap).unwrap();
+        restored.restore(armed.snapshot());
         assert_eq!(restored.regulator(), armed.regulator());
         assert_eq!(
             restored.l2_access(CoreId(2), BankId(9), 4000),

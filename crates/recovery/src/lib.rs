@@ -1,13 +1,14 @@
 //! Crash-recovery primitives: versioned, checksummed checkpoints and a
 //! bounded checkpoint history with a recovery ladder.
 //!
-//! A [`Checkpoint`] wraps an opaque [`serde::Value`] payload (the full
-//! pipeline state as assembled by `bap-system`) together with a format
-//! version. [`Checkpoint::encode`] frames the JSON payload with a header
-//! carrying the version and an FNV-1a-64 checksum of the body;
+//! A [`Checkpoint`] wraps the caller's typed state (the simulator's
+//! `SystemState`, the decision service's `ServiceState`) together with a
+//! format version. [`Checkpoint::encode`] frames the state's JSON with a
+//! header carrying the version and an FNV-1a-64 checksum of the body;
 //! [`Checkpoint::decode`] refuses anything whose checksum or version does
 //! not match, so a checkpoint truncated or bit-flipped by a crash is
-//! detected *before* any state is rebuilt from it.
+//! detected *before* any state is rebuilt from it, and then decodes the
+//! body straight from the text into the state type.
 //!
 //! The [`RecoveryManager`] keeps the last few encoded checkpoints in a
 //! ring and walks them newest-first when asked to recover, reporting which
@@ -23,11 +24,12 @@
 //! Rungs 3 and 4 live in the caller (`bap-system`); this crate reports
 //! exhaustion so the caller knows to take them.
 
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
-/// Current checkpoint format version. Bump on any layout change to the
-/// payload assembled by `bap-system`; decode refuses other versions.
+/// Current checkpoint format version. Bump on any layout change to a
+/// checkpointed state type; decode refuses other versions.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 /// Magic prefix of an encoded checkpoint ("BAPC" — BAnk-aware Partitioning
@@ -53,12 +55,12 @@ pub enum RecoveryError {
         /// Checksum recomputed over the payload bytes.
         computed: u64,
     },
-    /// The payload passed the checksum but is not valid JSON (only
-    /// possible if the encoder was buggy or the header survived a
-    /// coordinated corruption of body and checksum).
+    /// The payload passed the checksum but is not valid JSON, or does not
+    /// decode into the caller's state type (only possible if the encoder
+    /// was buggy or the body was edited and its checksum recomputed).
     Corrupt(String),
     /// The decoded state was rejected by the caller's validator (geometry
-    /// mismatch, unhealthy curves, …).
+    /// or configuration mismatch, unhealthy curves, …).
     Rejected(String),
     /// Stable storage failed underneath a checkpoint file operation.
     Io(String),
@@ -108,28 +110,30 @@ fn checksum(version_epoch: &[u8], body: &[u8]) -> u64 {
     fnv1a64_extend(fnv1a64(version_epoch), body)
 }
 
-/// One full-pipeline checkpoint: a format version plus the opaque state
-/// payload assembled by the system layer.
+/// One checkpoint: a format version plus the caller's state `P`, which
+/// may borrow what it encodes and owns what it decodes.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Checkpoint {
+pub struct Checkpoint<P> {
     /// Format version the payload was written under.
     pub version: u32,
     /// The epoch the state had completed when the checkpoint was taken.
     pub epoch: u64,
-    /// The state itself (shape owned by `bap-system`).
-    pub payload: serde::Value,
+    /// The state itself (its type is owned by the caller).
+    pub payload: P,
 }
 
-impl Checkpoint {
+impl<P> Checkpoint<P> {
     /// Wrap a payload under the current format version.
-    pub fn new(epoch: u64, payload: serde::Value) -> Self {
+    pub fn new(epoch: u64, payload: P) -> Self {
         Checkpoint {
             version: CHECKPOINT_VERSION,
             epoch,
             payload,
         }
     }
+}
 
+impl<P: Serialize> Checkpoint<P> {
     /// Frame the checkpoint as bytes:
     /// `MAGIC | version:u32le | epoch:u64le | checksum:u64le | json-body`.
     ///
@@ -141,9 +145,9 @@ impl Checkpoint {
         out.extend_from_slice(&self.version.to_le_bytes());
         out.extend_from_slice(&self.epoch.to_le_bytes());
         // The checksum's slot, filled in once the body is written; the
-        // payload tree is written straight into the frame after it.
+        // payload is written straight into the frame after it.
         out.extend_from_slice(&[0; 8]);
-        serde_json::append_value(&mut out, &self.payload);
+        serde_json::append_value(&mut out, &self.payload.to_value());
         // Checksum over version + epoch + body, so header corruption is
         // caught too.
         let sum = checksum(&out[4..16], &out[24..]);
@@ -153,9 +157,12 @@ impl Checkpoint {
         out.shrink_to_fit();
         out
     }
+}
 
+impl<P: Deserialize> Checkpoint<P> {
     /// Inverse of [`Checkpoint::encode`]: validate framing, version and
-    /// checksum, then parse the payload.
+    /// checksum, then decode the payload from the text. A body that does
+    /// not decode into `P` is [`RecoveryError::Corrupt`].
     pub fn decode(bytes: &[u8]) -> Result<Self, RecoveryError> {
         if bytes.len() < 24 || bytes[..4] != MAGIC {
             return Err(RecoveryError::BadFraming);
@@ -176,7 +183,7 @@ impl Checkpoint {
         }
         let text = std::str::from_utf8(body)
             .map_err(|e| RecoveryError::Corrupt(format!("payload not UTF-8: {e}")))?;
-        let payload: serde::Value =
+        let payload =
             serde_json::from_str(text).map_err(|e| RecoveryError::Corrupt(e.to_string()))?;
         Ok(Checkpoint {
             version,
@@ -236,7 +243,9 @@ fn sync_parent_dir(_path: &std::path::Path) -> Result<(), RecoveryError> {
 /// Load and validate a checkpoint file written by [`save_checkpoint_file`].
 /// Missing files, short reads and corruption all come back as typed
 /// [`RecoveryError`]s, never panics.
-pub fn load_checkpoint_file(path: &std::path::Path) -> Result<Checkpoint, RecoveryError> {
+pub fn load_checkpoint_file<P: Deserialize>(
+    path: &std::path::Path,
+) -> Result<Checkpoint<P>, RecoveryError> {
     let bytes = std::fs::read(path)
         .map_err(|e| RecoveryError::Io(format!("read {}: {e}", path.display())))?;
     Checkpoint::decode(&bytes)
@@ -296,7 +305,7 @@ impl RecoveryManager {
 
     /// Record a checkpoint, evicting the oldest beyond capacity. Returns
     /// the encoded size in bytes.
-    pub fn push(&mut self, cp: &Checkpoint) -> usize {
+    pub fn push<P: Serialize>(&mut self, cp: &Checkpoint<P>) -> usize {
         let bytes = cp.encode();
         let n = bytes.len();
         if self.slots.len() == self.capacity {
@@ -355,21 +364,21 @@ impl RecoveryManager {
         touched
     }
 
-    /// Walk the ladder newest-first: decode each retained checkpoint and
-    /// hand it to `attempt`, which rebuilds state from the payload and may
+    /// Walk the ladder newest-first: decode each retained checkpoint into
+    /// state `P` and hand it to `attempt`, which rebuilds from it and may
     /// itself reject it ([`RecoveryError::Rejected`] or any other error).
     /// The first success wins. `Err(rejections)` means every candidate
     /// failed — the caller proceeds to rung 3 (re-profile) or 4 (equal
     /// fallback).
-    pub fn recover<T>(
+    pub fn recover<P: Deserialize, T>(
         &self,
-        mut attempt: impl FnMut(&Checkpoint) -> Result<T, RecoveryError>,
+        mut attempt: impl FnMut(Checkpoint<P>) -> Result<T, RecoveryError>,
     ) -> Result<RecoveryOutcome<T>, Vec<RecoveryError>> {
         let mut rejected = Vec::new();
         for (i, bytes) in self.slots.iter().rev().enumerate() {
             match Checkpoint::decode(bytes).and_then(|cp| {
                 let epoch = cp.epoch;
-                attempt(&cp).map(|value| (value, epoch))
+                attempt(cp).map(|value| (value, epoch))
             }) {
                 Ok((value, epoch)) => {
                     let rung = if i == 0 {
@@ -395,8 +404,18 @@ impl RecoveryManager {
 mod tests {
     use super::*;
 
-    fn payload(x: i64) -> serde::Value {
-        serde::Value::Object(vec![("x".to_string(), serde::Value::Int(x as i128))])
+    #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+    struct State {
+        x: i64,
+    }
+
+    fn payload(x: i64) -> State {
+        State { x }
+    }
+
+    /// The epoch of a decoded checkpoint, accepting it.
+    fn accept(cp: Checkpoint<State>) -> Result<u64, RecoveryError> {
+        Ok(cp.epoch)
     }
 
     #[test]
@@ -407,13 +426,28 @@ mod tests {
     }
 
     #[test]
+    fn a_body_of_the_wrong_shape_is_corrupt() {
+        let mistyped = Checkpoint::new(
+            5,
+            serde::Value::Object(vec![(
+                "x".to_string(),
+                serde::Value::Str("seven".to_string()),
+            )]),
+        );
+        match Checkpoint::<State>::decode(&mistyped.encode()) {
+            Err(RecoveryError::Corrupt(why)) => assert!(why.contains("\"x\""), "{why}"),
+            other => panic!("expected a corrupt body, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn any_single_byte_flip_is_detected() {
         let cp = Checkpoint::new(3, payload(7));
         let clean = cp.encode();
         for i in 0..clean.len() {
             let mut bad = clean.clone();
             bad[i] ^= 0x40;
-            let res = Checkpoint::decode(&bad);
+            let res = Checkpoint::<State>::decode(&bad);
             assert!(
                 res.is_err(),
                 "flip at byte {i} of {} went undetected",
@@ -429,7 +463,7 @@ mod tests {
             epoch: 0,
             payload: payload(0),
         };
-        match Checkpoint::decode(&cp.encode()) {
+        match Checkpoint::<State>::decode(&cp.encode()) {
             Err(RecoveryError::VersionMismatch { found, expected }) => {
                 assert_eq!(found, CHECKPOINT_VERSION + 9);
                 assert_eq!(expected, CHECKPOINT_VERSION);
@@ -443,7 +477,10 @@ mod tests {
         let cp = Checkpoint::new(1, payload(5));
         let clean = cp.encode();
         for cut in [0, 3, 10, 23, clean.len() - 1] {
-            assert!(Checkpoint::decode(&clean[..cut]).is_err(), "cut={cut}");
+            assert!(
+                Checkpoint::<State>::decode(&clean[..cut]).is_err(),
+                "cut={cut}"
+            );
         }
     }
 
@@ -454,14 +491,14 @@ mod tests {
             mgr.push(&Checkpoint::new(e, payload(e as i64)));
         }
         // Clean history: rung 1, newest epoch.
-        let out = mgr.recover(|cp| Ok::<_, RecoveryError>(cp.epoch)).unwrap();
+        let out = mgr.recover(accept).unwrap();
         assert_eq!(out.rung, RecoveryRung::Newest);
         assert_eq!(out.epoch, 2);
         assert!(out.rejected.is_empty());
 
         // Corrupt the newest: rung 2, next-newest epoch, one rejection.
         assert!(mgr.corrupt_newest(30));
-        let out = mgr.recover(|cp| Ok::<_, RecoveryError>(cp.epoch)).unwrap();
+        let out = mgr.recover(accept).unwrap();
         assert_eq!(out.rung, RecoveryRung::Older);
         assert_eq!(out.epoch, 1);
         assert_eq!(out.rejected.len(), 1);
@@ -477,7 +514,7 @@ mod tests {
         mgr.push(&Checkpoint::new(10, payload(1)));
         mgr.push(&Checkpoint::new(11, payload(2)));
         let out = mgr
-            .recover(|cp| {
+            .recover(|cp: Checkpoint<State>| {
                 if cp.epoch == 11 {
                     Err(RecoveryError::Rejected("unhealthy curves".to_string()))
                 } else {
@@ -495,7 +532,7 @@ mod tests {
         mgr.push(&Checkpoint::new(0, payload(0)));
         mgr.push(&Checkpoint::new(1, payload(1)));
         let err = mgr
-            .recover(|_| Err::<(), _>(RecoveryError::Rejected("no".to_string())))
+            .recover(|_: Checkpoint<State>| Err::<(), _>(RecoveryError::Rejected("no".to_string())))
             .unwrap_err();
         assert_eq!(err.len(), 2);
     }
@@ -514,12 +551,12 @@ mod tests {
         // Overwrite goes through the tmp+rename path and replaces cleanly.
         let cp2 = Checkpoint::new(10, payload(34));
         save_checkpoint_file(&path, &cp2.encode()).unwrap();
-        assert_eq!(load_checkpoint_file(&path).unwrap().epoch, 10);
+        assert_eq!(load_checkpoint_file::<State>(&path).unwrap().epoch, 10);
 
         // Missing file: typed Io error, no panic.
         let missing = dir.join("nope.ckpt");
         assert!(matches!(
-            load_checkpoint_file(&missing),
+            load_checkpoint_file::<State>(&missing),
             Err(RecoveryError::Io(_))
         ));
 
@@ -528,7 +565,7 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
-        assert!(load_checkpoint_file(&path).is_err());
+        assert!(load_checkpoint_file::<State>(&path).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -550,7 +587,7 @@ mod tests {
             mgr.push(&Checkpoint::new(e, payload(0)));
         }
         assert_eq!(mgr.len(), 2);
-        let out = mgr.recover(|cp| Ok::<_, RecoveryError>(cp.epoch)).unwrap();
+        let out = mgr.recover(accept).unwrap();
         assert_eq!(out.epoch, 4);
     }
 }

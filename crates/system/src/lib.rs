@@ -31,6 +31,8 @@ pub use analytic::{
     profile_workload, profile_workloads, profile_workloads_serial, profile_workloads_serial_traced,
     profile_workloads_traced,
 };
-pub use memory::SharedMemory;
+pub use memory::{MemoryState, SharedMemory, SharedMemoryState};
 pub use recovery::{restore_with_recovery, Recovered};
-pub use sim::{EpochControl, Phase, ResumePoint, RunOutcome, RunResult, SimOptions, System};
+pub use sim::{
+    EpochControl, Phase, ResumePoint, RunOutcome, RunResult, SimOptions, System, SystemState,
+};

@@ -7,20 +7,22 @@
 //! profilers. Accesses into the configured *shared segment* additionally
 //! run the MOESI directory and pay forward/invalidation latencies.
 
-use bap_cache::{AccessKind, AggregationScheme, DnucaL2, L2Mode};
+use bap_cache::{AccessKind, AggregationScheme, DnucaL2, DnucaState, L2Mode};
 use bap_coherence::cluster::Transaction;
-use bap_coherence::CoherentCluster;
-use bap_core::{Controller, Policy};
+use bap_coherence::{ClusterState, CoherentCluster};
+use bap_core::{Controller, ControllerState, Policy};
 use bap_cpu::MemorySystem;
-use bap_dram::{BankedDram, BankedDramConfig, DramModel};
+use bap_dram::{BankedDram, BankedDramConfig, BankedDramState, DramModel, DramState};
 use bap_fault::{BankEventKind, FaultConfig, FaultCounters, FaultInjector};
 use bap_guard::InvariantGuard;
-use bap_noc::NocModel;
+use bap_noc::{NocModel, NocState};
 use bap_trace::{EventKind, Tracer};
 use bap_types::stats::CacheStats;
 use bap_types::{
     BankId, BlockAddr, ControlConfig, CoreId, Cycle, QosConfig, SystemConfig, Topology, WclParams,
 };
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Addresses with this bit set (block-address bit 40) belong to the shared
 /// segment and run the coherence protocol.
@@ -125,31 +127,73 @@ impl MemoryModel {
         }
     }
 
-    /// Dynamic state as a tagged checkpoint value.
-    pub fn snapshot(&self) -> serde::Value {
+    /// Dynamic state for checkpointing, tagged with the model kind.
+    pub fn snapshot(&self) -> MemoryState<'_> {
+        match self {
+            MemoryModel::Flat(d) => MemoryState::Flat(d.snapshot()),
+            MemoryModel::Banked(d) => MemoryState::Banked(d.snapshot()),
+        }
+    }
+
+    /// Restore dynamic state; the model kind must match the configured one.
+    pub fn restore(&mut self, s: MemoryState<'_>) -> Result<(), String> {
+        match (self, s) {
+            (MemoryModel::Flat(d), MemoryState::Flat(s)) => {
+                d.restore(s);
+                Ok(())
+            }
+            (MemoryModel::Banked(d), MemoryState::Banked(s)) => d.restore(s),
+            _ => Err("DRAM model kind mismatch".to_string()),
+        }
+    }
+}
+
+/// A memory model's checkpointed state ([`MemoryModel::snapshot`]),
+/// written as the tagged pair `{"kind": "flat"|"banked", "state": …}`.
+pub enum MemoryState<'a> {
+    /// The flat pipe's state.
+    Flat(DramState<'a>),
+    /// The banked device's state.
+    Banked(BankedDramState<'a>),
+}
+
+impl Serialize for MemoryState<'_> {
+    fn to_value(&self) -> serde::Value {
         let (kind, state) = match self {
-            MemoryModel::Flat(d) => ("flat", d.snapshot()),
-            MemoryModel::Banked(d) => ("banked", d.snapshot()),
+            MemoryState::Flat(s) => ("flat", s.to_value()),
+            MemoryState::Banked(s) => ("banked", s.to_value()),
         };
         serde::Value::Object(vec![
             ("kind".to_string(), serde::Value::Str(kind.to_string())),
             ("state".to_string(), state),
         ])
     }
+}
 
-    /// Restore dynamic state; the model kind must match the configured one.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let kind: String = serde::from_field(v, "kind")?;
-        let state = v
-            .get("state")
-            .ok_or_else(|| serde::Error::msg("missing field `state`"))?;
-        match (self, kind.as_str()) {
-            (MemoryModel::Flat(d), "flat") => d.restore(state),
-            (MemoryModel::Banked(d), "banked") => d.restore(state),
-            _ => Err(serde::Error::msg(format!(
-                "DRAM model kind mismatch: checkpoint has `{kind}`"
-            ))),
-        }
+/// `kind` precedes `state` in every checkpoint this program writes, so the
+/// state decodes straight into the kind's type; a `state` that arrives
+/// before its `kind` is an error.
+impl Deserialize for MemoryState<'_> {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut kind, mut state) = (None, None);
+        r.read_map(|member, r| {
+            match member {
+                "kind" if kind.is_none() => kind = Some(r.read_string()?),
+                "state" if state.is_none() => {
+                    state = Some(match kind.as_deref() {
+                        Some("flat") => MemoryState::Flat(DramState::deserialize(r)?),
+                        Some("banked") => MemoryState::Banked(BankedDramState::deserialize(r)?),
+                        other => {
+                            let e = format!("DRAM `state` after `kind` {other:?}");
+                            return Err(serde::Error::msg(e));
+                        }
+                    })
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        state.ok_or_else(|| serde::Error::msg("missing field `state`"))
     }
 }
 
@@ -700,99 +744,109 @@ impl SharedMemory {
     /// that is not rebuilt from the configuration: caches, interconnect and
     /// DRAM timing state, profilers, coherence, accounting). The tracer,
     /// injector and latency constants are configuration and stay out.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("l2".to_string(), self.l2.snapshot()),
-            ("noc".to_string(), self.noc.snapshot()),
-            ("dram".to_string(), self.dram.snapshot()),
-            ("controller".to_string(), self.controller.snapshot()),
-            ("coherence".to_string(), self.coherence.snapshot()),
-            (
-                "l2_stats".to_string(),
-                serde::Serialize::to_value(&self.l2_stats),
-            ),
-            (
-                "l2_latency_sum".to_string(),
-                serde::Serialize::to_value(&self.l2_latency_sum),
-            ),
-            (
-                "plans_applied".to_string(),
-                serde::Serialize::to_value(&self.plans_applied),
-            ),
-            (
-                "epoch_history".to_string(),
-                serde::Serialize::to_value(&self.epoch_history),
-            ),
-            (
-                "fault_counters".to_string(),
-                serde::Serialize::to_value(&self.fault_counters),
-            ),
-            (
-                "fault_epoch".to_string(),
-                serde::Serialize::to_value(&self.fault_epoch),
-            ),
-            ("clock".to_string(), serde::Serialize::to_value(&self.clock)),
-            (
-                "epoch_worst".to_string(),
-                serde::Serialize::to_value(&self.epoch_worst),
-            ),
-            (
-                "worst_history".to_string(),
-                serde::Serialize::to_value(&self.worst_history),
-            ),
-            (
-                "bound_history".to_string(),
-                serde::Serialize::to_value(&self.bound_history),
-            ),
-            (
-                "current_bounds".to_string(),
-                serde::Serialize::to_value(&self.current_bounds),
-            ),
-        ])
+    pub fn snapshot(&self) -> SharedMemoryState<'_> {
+        SharedMemoryState {
+            l2: self.l2.snapshot(),
+            noc: self.noc.snapshot(),
+            dram: self.dram.snapshot(),
+            controller: self.controller.snapshot(),
+            coherence: self.coherence.snapshot(),
+            l2_stats: Cow::Borrowed(&self.l2_stats),
+            l2_latency_sum: Cow::Borrowed(&self.l2_latency_sum),
+            plans_applied: self.plans_applied,
+            epoch_history: Cow::Borrowed(&self.epoch_history),
+            fault_counters: self.fault_counters,
+            fault_epoch: self.fault_epoch,
+            clock: self.clock,
+            epoch_worst: Cow::Borrowed(&self.epoch_worst),
+            worst_history: Cow::Borrowed(&self.worst_history),
+            bound_history: Cow::Borrowed(&self.bound_history),
+            current_bounds: Cow::Borrowed(&self.current_bounds),
+        }
     }
 
     /// Restore dynamic state into a freshly constructed hierarchy of the
-    /// same configuration. Geometry mismatches are rejected.
-    pub fn restore(&mut self, v: &serde::Value) -> Result<(), serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("missing field `{name}`")))
-        };
-        self.l2.restore(field("l2")?)?;
-        self.noc.restore(field("noc")?)?;
-        self.dram.restore(field("dram")?)?;
-        self.controller.restore(field("controller")?)?;
-        self.coherence.restore(field("coherence")?)?;
-        let l2_stats: Vec<CacheStats> = serde::from_field(v, "l2_stats")?;
+    /// same configuration. Geometry mismatches are rejected, and leave the
+    /// hierarchy partially restored — callers must discard it on failure.
+    pub fn restore(&mut self, s: SharedMemoryState<'_>) -> Result<(), String> {
+        let SharedMemoryState {
+            l2,
+            noc,
+            dram,
+            controller,
+            coherence,
+            l2_stats,
+            l2_latency_sum,
+            plans_applied,
+            epoch_history,
+            fault_counters,
+            fault_epoch,
+            clock,
+            epoch_worst,
+            worst_history,
+            bound_history,
+            current_bounds,
+        } = s;
         if l2_stats.len() != self.l2_stats.len() {
-            return Err(serde::Error::msg("per-core L2 stats count mismatch"));
+            return Err("per-core L2 stats count mismatch".to_string());
         }
-        let l2_latency_sum: Vec<u64> = serde::from_field(v, "l2_latency_sum")?;
         if l2_latency_sum.len() != self.l2_latency_sum.len() {
-            return Err(serde::Error::msg("per-core L2 latency count mismatch"));
+            return Err("per-core L2 latency count mismatch".to_string());
         }
-        self.l2_stats = l2_stats;
-        self.l2_latency_sum = l2_latency_sum;
-        self.plans_applied = serde::from_field(v, "plans_applied")?;
-        self.epoch_history = serde::from_field(v, "epoch_history")?;
-        self.fault_counters = serde::from_field(v, "fault_counters")?;
-        self.fault_epoch = serde::from_field(v, "fault_epoch")?;
-        self.clock = serde::from_field(v, "clock")?;
+        self.l2.restore(l2)?;
+        self.noc.restore(noc);
+        self.dram.restore(dram)?;
+        self.controller.restore(controller)?;
+        self.coherence.restore(coherence)?;
+        self.l2_stats = l2_stats.into_owned();
+        self.l2_latency_sum = l2_latency_sum.into_owned();
+        self.plans_applied = plans_applied;
+        self.epoch_history = epoch_history.into_owned();
+        self.fault_counters = fault_counters;
+        self.fault_epoch = fault_epoch;
+        self.clock = clock;
+        // The QoS members are absent from pre-QoS checkpoints; per-core
+        // rows of the wrong length restart from the neutral value.
         let n = self.epoch_worst.len();
-        self.epoch_worst = serde::from_field_or_default(v, "epoch_worst")?;
-        if self.epoch_worst.len() != n {
-            self.epoch_worst = vec![0; n];
-        }
-        self.worst_history = serde::from_field_or_default(v, "worst_history")?;
-        self.bound_history = serde::from_field_or_default(v, "bound_history")?;
-        let bounds: Vec<Option<Cycle>> = serde::from_field_or_default(v, "current_bounds")?;
-        self.current_bounds = if bounds.len() == n {
-            bounds
+        self.epoch_worst = if epoch_worst.len() == n {
+            epoch_worst.into_owned()
+        } else {
+            vec![0; n]
+        };
+        self.worst_history = worst_history.into_owned();
+        self.bound_history = bound_history.into_owned();
+        self.current_bounds = if current_bounds.len() == n {
+            current_bounds.into_owned()
         } else {
             vec![None; n]
         };
         Ok(())
     }
+}
+
+/// The hierarchy's checkpointed state ([`SharedMemory::snapshot`]).
+#[derive(Serialize, Deserialize)]
+pub struct SharedMemoryState<'a> {
+    l2: DnucaState<'a>,
+    noc: NocState<'a>,
+    dram: MemoryState<'a>,
+    controller: ControllerState<'a>,
+    coherence: ClusterState<'a>,
+    l2_stats: Cow<'a, [CacheStats]>,
+    l2_latency_sum: Cow<'a, [u64]>,
+    plans_applied: u64,
+    epoch_history: Cow<'a, [Vec<usize>]>,
+    fault_counters: FaultCounters,
+    fault_epoch: u64,
+    clock: Cycle,
+    #[serde(default)]
+    epoch_worst: Cow<'a, [Cycle]>,
+    #[serde(default)]
+    worst_history: Cow<'a, [Vec<Cycle>]>,
+    #[serde(default)]
+    bound_history: Cow<'a, [Vec<Option<Cycle>>]>,
+    #[serde(default)]
+    current_bounds: Cow<'a, [Option<Cycle>]>,
 }
 
 impl MemorySystem for SharedMemory {
@@ -1104,7 +1158,7 @@ mod tests {
         let snap = m.snapshot();
         let mut r = shared(Policy::BankAware);
         r.set_qos(&qos_config(), false, false);
-        r.restore(&snap).expect("restore");
+        r.restore(snap).expect("restore");
         assert_eq!(r.worst_latency_history(), m.worst_latency_history());
         assert_eq!(r.slo_bound_history(), m.slo_bound_history());
         assert_eq!(r.current_bounds, m.current_bounds);

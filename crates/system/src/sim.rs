@@ -10,17 +10,20 @@
 //! A run has a warm-up slice (statistics discarded) followed by a
 //! measurement slice, as in the paper's methodology (§IV).
 
-use crate::memory::{SharedMemory, SHARED_SEGMENT_BIT};
+use crate::memory::{SharedMemory, SharedMemoryState, SHARED_SEGMENT_BIT};
 use bap_cache::dnuca::DnucaStats;
 use bap_cache::{AggregationScheme, PartitionPlan};
 use bap_core::Policy;
-use bap_cpu::CoreModel;
+use bap_cpu::{CoreModel, CoreState};
 use bap_dram::DramStats;
 use bap_noc::NocStats;
+use bap_recovery::Checkpoint;
 use bap_trace::{TraceSummary, Tracer};
 use bap_types::stats::CoreStats;
 use bap_types::{Addr, CoreId, Cycle, Op, SystemConfig};
 use bap_workloads::{AddressStream, WorkloadSpec};
+use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -208,9 +211,18 @@ impl Phase {
             Phase::Measure => "measure",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, serde::Error> {
-        match s {
+/// A phase is written as its lower-case [`Phase::name`].
+impl Serialize for Phase {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.name().to_string())
+    }
+}
+
+impl Deserialize for Phase {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        match r.read_string()?.as_str() {
             "warmup" => Ok(Phase::Warmup),
             "measure" => Ok(Phase::Measure),
             other => Err(serde::Error::msg(format!("unknown phase `{other}`"))),
@@ -220,7 +232,7 @@ impl Phase {
 
 /// Where a run stands at an epoch boundary — together with a
 /// [`System::checkpoint`] snapshot, enough to resume the run mid-flight.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResumePoint {
     /// The phase the boundary fired in.
     pub phase: Phase,
@@ -230,32 +242,16 @@ pub struct ResumePoint {
     pub next_epoch: Cycle,
 }
 
-impl ResumePoint {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "phase".to_string(),
-                serde::Value::Str(self.phase.name().to_string()),
-            ),
-            (
-                "epochs".to_string(),
-                serde::Serialize::to_value(&self.epochs),
-            ),
-            (
-                "next_epoch".to_string(),
-                serde::Serialize::to_value(&self.next_epoch),
-            ),
-        ])
-    }
-
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let phase: String = serde::from_field(v, "phase")?;
-        Ok(ResumePoint {
-            phase: Phase::parse(&phase)?,
-            epochs: serde::from_field(v, "epochs")?,
-            next_epoch: serde::from_field(v, "next_epoch")?,
-        })
-    }
+/// A run's checkpointed state ([`System::checkpoint`]).
+#[derive(Serialize, Deserialize)]
+pub struct SystemState<'a> {
+    num_cores: usize,
+    seed: u64,
+    policy: Policy,
+    cores: Vec<CoreState<'a>>,
+    ops_drawn: Cow<'a, [u64]>,
+    mem: SharedMemoryState<'a>,
+    resume: ResumePoint,
 }
 
 /// What an epoch hook tells the driver to do next.
@@ -593,32 +589,17 @@ impl System {
     /// the seed and fast-forwarded, not serialized), the whole memory
     /// hierarchy and the resume point. Tracer and injector are
     /// configuration and are reattached by the caller.
-    pub fn checkpoint(&self, at: &ResumePoint) -> bap_recovery::Checkpoint {
-        let payload = serde::Value::Object(vec![
-            (
-                "num_cores".to_string(),
-                serde::Serialize::to_value(&self.opts.config.num_cores),
-            ),
-            (
-                "seed".to_string(),
-                serde::Serialize::to_value(&self.opts.seed),
-            ),
-            (
-                "policy".to_string(),
-                serde::Value::Str(format!("{:?}", self.opts.policy)),
-            ),
-            (
-                "cores".to_string(),
-                serde::Value::Array(self.cores.iter().map(|c| c.snapshot()).collect()),
-            ),
-            (
-                "ops_drawn".to_string(),
-                serde::Serialize::to_value(&self.ops_drawn),
-            ),
-            ("mem".to_string(), self.mem.snapshot()),
-            ("resume".to_string(), at.to_value()),
-        ]);
-        bap_recovery::Checkpoint::new(self.mem.epoch_history().len() as u64, payload)
+    pub fn checkpoint(&self, at: &ResumePoint) -> Checkpoint<SystemState<'_>> {
+        let state = SystemState {
+            num_cores: self.opts.config.num_cores,
+            seed: self.opts.seed,
+            policy: self.opts.policy,
+            cores: self.cores.iter().map(CoreModel::snapshot).collect(),
+            ops_drawn: Cow::Borrowed(&self.ops_drawn),
+            mem: self.mem.snapshot(),
+            resume: at.clone(),
+        };
+        Checkpoint::new(self.mem.epoch_history().len() as u64, state)
     }
 
     /// Restore a checkpoint into this freshly built system and return the
@@ -627,68 +608,49 @@ impl System {
     /// On error the system is left partially restored — discard it and
     /// build a fresh one (the recovery ladder does exactly that per
     /// attempt).
-    pub fn restore_from(
-        &mut self,
-        cp: &bap_recovery::Checkpoint,
-    ) -> Result<ResumePoint, serde::Error> {
-        let v = &cp.payload;
-        let num_cores: usize = serde::from_field(v, "num_cores")?;
-        if num_cores != self.opts.config.num_cores {
-            return Err(serde::Error::msg(format!(
-                "checkpoint is for {num_cores} cores, system has {}",
-                self.opts.config.num_cores
-            )));
-        }
-        let seed: u64 = serde::from_field(v, "seed")?;
-        if seed != self.opts.seed {
-            return Err(serde::Error::msg(format!(
-                "checkpoint seed {seed} != system seed {}",
-                self.opts.seed
-            )));
-        }
-        let policy: String = serde::from_field(v, "policy")?;
-        if policy != format!("{:?}", self.opts.policy) {
-            return Err(serde::Error::msg(format!(
-                "checkpoint policy `{policy}` != system policy `{:?}`",
-                self.opts.policy
-            )));
+    pub fn restore_from(&mut self, cp: Checkpoint<SystemState<'_>>) -> Result<ResumePoint, String> {
+        let SystemState {
+            num_cores,
+            seed,
+            policy,
+            cores,
+            ops_drawn,
+            mem,
+            resume,
+        } = cp.payload;
+        let fingerprint = (num_cores, seed, policy);
+        let system = (self.opts.config.num_cores, self.opts.seed, self.opts.policy);
+        if fingerprint != system {
+            return Err(format!(
+                "checkpoint (cores, seed, policy) {fingerprint:?} != system {system:?}"
+            ));
         }
         // Fast-forward the freshly seeded streams to where the checkpointed
         // run had drawn them.
-        let ops_drawn: Vec<u64> = serde::from_field(v, "ops_drawn")?;
         if ops_drawn.len() != self.streams.len() {
-            return Err(serde::Error::msg("per-core op-count length mismatch"));
+            return Err("per-core op-count length mismatch".to_string());
         }
         for (c, &n) in ops_drawn.iter().enumerate() {
             let already = self.ops_drawn[c];
             if n < already {
-                return Err(serde::Error::msg(
-                    "stream already drawn past the checkpoint — restore into a fresh system",
-                ));
+                return Err(
+                    "stream already drawn past the checkpoint — restore into a fresh system"
+                        .to_string(),
+                );
             }
             for _ in already..n {
                 self.streams[c].next();
             }
         }
-        self.ops_drawn = ops_drawn;
-        let cores = v
-            .get("cores")
-            .and_then(|c| c.as_array())
-            .ok_or_else(|| serde::Error::msg("missing field `cores`"))?;
+        self.ops_drawn = ops_drawn.into_owned();
         if cores.len() != self.cores.len() {
-            return Err(serde::Error::msg("core-model count mismatch"));
+            return Err("core-model count mismatch".to_string());
         }
-        for (core, cv) in self.cores.iter_mut().zip(cores) {
-            core.restore(cv)?;
+        for (core, s) in self.cores.iter_mut().zip(cores) {
+            core.restore(s);
         }
-        self.mem.restore(
-            v.get("mem")
-                .ok_or_else(|| serde::Error::msg("missing field `mem`"))?,
-        )?;
-        ResumePoint::from_value(
-            v.get("resume")
-                .ok_or_else(|| serde::Error::msg("missing field `resume`"))?,
-        )
+        self.mem.restore(mem)?;
+        Ok(resume)
     }
 
     /// Build a system from options + specs and restore a checkpoint into
@@ -696,8 +658,8 @@ impl System {
     pub fn restore(
         opts: SimOptions,
         specs: Vec<WorkloadSpec>,
-        cp: &bap_recovery::Checkpoint,
-    ) -> Result<(System, ResumePoint), serde::Error> {
+        cp: Checkpoint<SystemState<'_>>,
+    ) -> Result<(System, ResumePoint), String> {
         let mut sys = System::new(opts, specs);
         let at = sys.restore_from(cp)?;
         Ok((sys, at))
@@ -882,7 +844,7 @@ mod tests {
         let mut sys = System::new(opts(Policy::BankAware), mix());
         let outcome = sys.run_with_hook(&mut |s, at| {
             if at.phase == Phase::Measure && at.epochs == 2 {
-                cp = Some(s.checkpoint(at));
+                cp = Some(s.checkpoint(at).encode());
                 EpochControl::Halt
             } else {
                 EpochControl::Continue
@@ -893,9 +855,9 @@ mod tests {
 
         // Round-trip through the encoded byte form — exactly what a real
         // restart would read back off stable storage.
-        let bytes = cp.expect("checkpoint taken").encode();
-        let cp = bap_recovery::Checkpoint::decode(&bytes).expect("clean checkpoint");
-        let (mut resumed, at) = System::restore(opts(Policy::BankAware), mix(), &cp).unwrap();
+        let bytes = cp.expect("checkpoint taken");
+        let cp = Checkpoint::decode(&bytes).expect("clean checkpoint");
+        let (mut resumed, at) = System::restore(opts(Policy::BankAware), mix(), cp).unwrap();
         let r = resumed
             .resume_with_hook(at, &mut |_, _| EpochControl::Continue)
             .into_result();
@@ -918,15 +880,15 @@ mod tests {
         let mut sys = System::new(opts(Policy::BankAware), mix());
         let outcome = sys.run_with_hook(&mut |s, at| {
             if at.phase == Phase::Warmup && at.epochs == 1 {
-                cp = Some(s.checkpoint(at));
+                cp = Some(s.checkpoint(at).encode());
                 EpochControl::Halt
             } else {
                 EpochControl::Continue
             }
         });
         assert!(matches!(outcome, RunOutcome::Halted(_)));
-        let (mut resumed, at) =
-            System::restore(opts(Policy::BankAware), mix(), &cp.unwrap()).unwrap();
+        let cp = Checkpoint::decode(&cp.unwrap()).expect("clean checkpoint");
+        let (mut resumed, at) = System::restore(opts(Policy::BankAware), mix(), cp).unwrap();
         let r = resumed
             .resume_with_hook(at, &mut |_, _| EpochControl::Continue)
             .into_result();
@@ -940,14 +902,15 @@ mod tests {
         let mut sys = System::new(opts(Policy::BankAware), mix());
         let mut cp = None;
         sys.run_with_hook(&mut |s, at| {
-            cp = Some(s.checkpoint(at));
+            cp = Some(s.checkpoint(at).encode());
             EpochControl::Halt
         });
-        let cp = cp.expect("at least one epoch fired");
+        let bytes = cp.expect("at least one epoch fired");
+        let cp = || Checkpoint::decode(&bytes).expect("clean checkpoint");
         let mut wrong_seed = opts(Policy::BankAware);
         wrong_seed.seed += 1;
-        assert!(System::restore(wrong_seed, mix(), &cp).is_err());
-        assert!(System::restore(opts(Policy::Equal), mix(), &cp).is_err());
+        assert!(System::restore(wrong_seed, mix(), cp()).is_err());
+        assert!(System::restore(opts(Policy::Equal), mix(), cp()).is_err());
     }
 
     #[test]

@@ -253,13 +253,7 @@ pub struct WireLogEntry {
 /// One server response. `id` echoes the request; `tick` is the epoch tick
 /// (batch number) that served it — informational only, it depends on how
 /// requests happened to batch and is excluded from determinism contracts.
-///
-/// `Serialize` is written by hand (not derived) so `term` is omitted
-/// entirely when `None`: an unreplicated server's lines stay
-/// byte-identical to the pre-replication protocol, which the golden
-/// figures and `tests/serve_replication.rs` pin. Decoding is derived: a
-/// missing `term` already reads as `None`.
-#[derive(Clone, Debug, PartialEq, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireResponse {
     /// The request this answers.
     pub id: u64,
@@ -269,23 +263,10 @@ pub struct WireResponse {
     /// of a replicated server; absent (and absent from the encoded line)
     /// when replication is not configured. Clients track the highest term
     /// seen and reject lower-term answers as `fenced`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub term: Option<u64>,
     /// The answer.
     pub kind: ResponseKind,
-}
-
-impl Serialize for WireResponse {
-    fn to_value(&self) -> serde::Value {
-        let mut members = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("tick".to_string(), self.tick.to_value()),
-        ];
-        if let Some(term) = self.term {
-            members.push(("term".to_string(), term.to_value()));
-        }
-        members.push(("kind".to_string(), self.kind.to_value()));
-        serde::Value::Object(members)
-    }
 }
 
 /// Every answer the decision service produces.

@@ -3,15 +3,15 @@
 //! Real serde is a zero-copy framework generic over data formats; this shim
 //! serves the one format the workspace uses, JSON. [`Serialize`] renders
 //! into an owned tree ([`Value`]) that the companion `serde_json` shim
-//! writes out as text. [`Deserialize`] pulls from a [`Reader`], which reads
-//! either JSON text or an existing `Value` tree: `serde_json::from_str`
-//! decodes members straight into the target type and builds a tree only
-//! when the target is `Value`, while the hand-built checkpoint payloads are
-//! walked as trees through [`from_field`] and [`from_field_or_default`].
-//! The derive macros come from the local `serde_derive` proc-macro crate
-//! and are re-exported here so `use serde::{Serialize, Deserialize}`
+//! writes out as text. [`Deserialize`] pulls from a [`Reader`] over JSON
+//! text: `serde_json::from_str` decodes members straight into the target
+//! type and builds a tree only when the target is `Value`. Checkpoints are
+//! typed state like every other decoded value, so text is the reader's one
+//! input. The derive macros come from the local `serde_derive` proc-macro
+//! crate and are re-exported here so `use serde::{Serialize, Deserialize}`
 //! imports trait and macro together, exactly like upstream.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -66,7 +66,7 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// Read `Self` from JSON text or a [`Value`] tree.
+/// Read `Self` from JSON text.
 pub trait Deserialize: Sized {
     /// Read one value from `r`; errors describe the first mismatch.
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
@@ -152,19 +152,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Short description of the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
 }
 
 static NULL: Value = Value::Null;
@@ -205,45 +192,6 @@ impl Deserialize for Value {
     }
 }
 
-// ---- Tree helpers for hand-written restore code. ----
-
-/// Read a struct field out of an object tree; a missing member reads as
-/// `null`, so `Option` fields deserialize to `None` (other types report
-/// the absence).
-pub fn from_field<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
-    match v {
-        Value::Object(_) => read_tree(v.get(name).unwrap_or(&NULL)).map_err(|e| in_field(name, e)),
-        other => Err(no_field(name, other)),
-    }
-}
-
-/// As [`from_field`], but a missing member yields `T::default()`
-/// (`#[serde(default)]`).
-pub fn from_field_or_default<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, Error> {
-    match v {
-        Value::Object(_) => match v.get(name) {
-            Some(m) => read_tree(m).map_err(|e| in_field(name, e)),
-            None => Ok(T::default()),
-        },
-        other => Err(no_field(name, other)),
-    }
-}
-
-fn read_tree<T: Deserialize>(v: &Value) -> Result<T, Error> {
-    T::deserialize(&mut Reader::from_tree(v))
-}
-
-fn in_field(name: &str, e: Error) -> Error {
-    Error(format!("field {name:?}: {e}"))
-}
-
-fn no_field(name: &str, v: &Value) -> Error {
-    Error(format!(
-        "expected object with field {name:?}, got {}",
-        v.kind()
-    ))
-}
-
 // ---- Derive support (called from generated code). ----
 
 /// Read a struct field's member into its slot. The first occurrence of a
@@ -267,8 +215,12 @@ pub fn read_member<T: Deserialize>(
 pub fn member<T: Deserialize>(slot: Option<T>, name: &str) -> Result<T, Error> {
     match slot {
         Some(v) => Ok(v),
-        None => read_tree(&NULL).map_err(|e| in_field(name, e)),
+        None => T::deserialize(&mut Reader::from_text("null")).map_err(|e| in_field(name, e)),
     }
+}
+
+fn in_field(name: &str, e: Error) -> Error {
+    Error(format!("field {name:?}: {e}"))
 }
 
 /// Read a tuple element into its slot.
@@ -376,6 +328,23 @@ impl Serialize for str {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+}
+
+/// A state type can borrow what it encodes and own what it decodes.
+impl<T: Serialize + ToOwned + ?Sized> Serialize for Cow<'_, T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+/// Decoding always yields [`Cow::Owned`].
+impl<T: ToOwned + ?Sized> Deserialize for Cow<'_, T>
+where
+    T::Owned: Deserialize,
+{
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::Owned::deserialize(r).map(Cow::Owned)
     }
 }
 
@@ -530,30 +499,41 @@ impl_tuples! {
 mod tests {
     use super::*;
 
+    fn read<T: Deserialize>(text: &str) -> Result<T, Error> {
+        let mut r = Reader::from_text(text);
+        let v = T::deserialize(&mut r)?;
+        r.finish().map(|()| v)
+    }
+
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(read_tree::<u64>(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(read_tree::<f64>(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(read_tree::<bool>(&true.to_value()).unwrap());
-        assert_eq!(
-            read_tree::<String>(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
+    fn primitives_read_from_text() {
+        assert_eq!(read::<u64>("42").unwrap(), 42);
+        assert_eq!(read::<f64>("1.5").unwrap(), 1.5);
+        assert!(read::<bool>("true").unwrap());
+        assert_eq!(read::<String>(r#""hi""#).unwrap(), "hi");
     }
 
     #[test]
     fn out_of_range_integers_error() {
-        assert!(read_tree::<u8>(&Value::Int(300)).is_err());
-        assert!(read_tree::<u64>(&Value::Int(-1)).is_err());
+        assert!(read::<u8>("300").is_err());
+        assert!(read::<u64>("-1").is_err());
     }
 
     #[test]
-    fn option_and_vec_round_trip() {
+    fn option_and_vec_read_from_text() {
         let v: Option<u32> = None;
         assert_eq!(v.to_value(), Value::Null);
-        assert_eq!(read_tree::<Option<u32>>(&Value::Null).unwrap(), None);
-        let xs = vec![1u32, 2, 3];
-        assert_eq!(read_tree::<Vec<u32>>(&xs.to_value()).unwrap(), xs);
+        assert_eq!(read::<Option<u32>>("null").unwrap(), None);
+        assert_eq!(read::<Vec<u32>>("[1,2,3]").unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn cow_borrows_to_encode_and_owns_after_decode() {
+        let xs = [1u32, 2];
+        let borrowed: Cow<'_, [u32]> = Cow::Borrowed(&xs);
+        assert_eq!(borrowed.to_value(), xs.to_value());
+        let decoded: Cow<'_, [u32]> = read("[1,2]").unwrap();
+        assert!(matches!(decoded, Cow::Owned(ref v) if v == &xs));
     }
 
     #[test]
@@ -565,23 +545,21 @@ mod tests {
             panic!()
         };
         assert_eq!(pairs[0].0, "a");
-        assert_eq!(read_tree::<HashMap<String, u32>>(&m.to_value()).unwrap(), m);
+        assert_eq!(read::<HashMap<String, u32>>(r#"{"b":2,"a":1}"#).unwrap(), m);
     }
 
     #[test]
-    fn missing_field_is_null_for_option() {
-        let obj = Value::Object(vec![("x".into(), Value::Int(1))]);
-        let y: Option<u32> = from_field(&obj, "y").unwrap();
-        assert_eq!(y, None);
-        assert!(from_field::<u32>(&obj, "y").is_err());
-        let d: u32 = from_field_or_default(&obj, "y").unwrap();
-        assert_eq!(d, 0);
+    fn a_missing_member_reads_as_null() {
+        assert_eq!(member::<Option<u32>>(None, "y").unwrap(), None);
+        assert!(member::<f64>(None, "y").unwrap().is_nan());
+        let err = member::<u32>(None, "y").unwrap_err();
+        assert_eq!(err.0, r#"field "y": expected integer, got null"#);
     }
 
     #[test]
     fn nan_round_trips_as_null() {
-        assert_eq!(f64::NAN.to_value().kind(), "float");
-        assert!(read_tree::<f64>(&Value::Null).unwrap().is_nan());
+        assert!(matches!(f64::NAN.to_value(), Value::Float(f) if f.is_nan()));
+        assert!(read::<f64>("null").unwrap().is_nan());
     }
 
     #[test]

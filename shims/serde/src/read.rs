@@ -1,13 +1,11 @@
 //! The pull reader every [`Deserialize`](crate::Deserialize) impl reads
 //! from.
 //!
-//! A [`Reader`] has two inputs. JSON text is parsed as it is read: a
-//! struct takes its members straight from the text, and a [`Value`] tree
-//! is built only when the target type is `Value`. An existing tree is
-//! walked the same way, which is how the hand-built checkpoint payloads
-//! are restored (`serde::from_field` and friends).
+//! A [`Reader`] parses JSON text as it is read: a struct takes its
+//! members straight from the text, and a [`Value`] tree is built only
+//! when the target type is `Value`.
 //!
-//! The text input checks everything a JSON parser checks, in members that
+//! The reader checks everything a JSON parser checks, in members that
 //! are skipped as well as in members that are read: string escapes and
 //! surrogate pairs, number syntax (an integer literal must fit `i128`),
 //! the `MAX_DEPTH` nesting limit, and trailing characters
@@ -17,15 +15,13 @@ use std::borrow::Cow;
 
 use crate::{Error, Value};
 
-/// Deepest array/object nesting the text input accepts (upstream
+/// Deepest array/object nesting the reader accepts (upstream
 /// serde_json's default). Nested values are read recursively, so a deeper
 /// input would overflow the stack instead of failing typed.
 const MAX_DEPTH: usize = 128;
 
-/// A cursor over one JSON value: either JSON text or a [`Value`] tree.
+/// A cursor over one value of JSON text.
 pub struct Reader<'a> {
-    /// The tree being walked; `None` reads `text` instead.
-    tree: Option<&'a Value>,
     text: &'a str,
     /// Byte offset of the next unread character of `text`.
     pos: usize,
@@ -38,18 +34,7 @@ impl<'a> Reader<'a> {
     /// trailing characters.
     pub fn from_text(text: &'a str) -> Self {
         Reader {
-            tree: None,
             text,
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    /// Walk an existing value tree.
-    pub fn from_tree(v: &'a Value) -> Self {
-        Reader {
-            tree: Some(v),
-            text: "",
             pos: 0,
             depth: 0,
         }
@@ -71,23 +56,12 @@ impl<'a> Reader<'a> {
     /// If the next value is `null`, consume it and return true.
     #[inline]
     pub fn read_null(&mut self) -> bool {
-        match self.tree {
-            Some(v) => matches!(v, Value::Null),
-            None => {
-                self.skip_ws();
-                self.eat_keyword("null")
-            }
-        }
+        self.skip_ws();
+        self.eat_keyword("null")
     }
 
     /// Read a boolean.
     pub fn read_bool(&mut self) -> Result<bool, Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Bool(b) => Ok(*b),
-                other => Err(expected("bool", other.kind())),
-            };
-        }
         self.skip_ws();
         if self.eat_keyword("true") {
             Ok(true)
@@ -101,12 +75,6 @@ impl<'a> Reader<'a> {
     /// Read an integer; float text is an error.
     #[inline]
     pub fn read_int(&mut self) -> Result<i128, Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Int(i) => Ok(*i),
-                other => Err(expected("integer", other.kind())),
-            };
-        }
         self.skip_ws();
         if !self.at_number() {
             return Err(expected("integer", self.next_kind()));
@@ -121,14 +89,6 @@ impl<'a> Reader<'a> {
     /// reads as NaN, the way the writer encodes non-finite floats.
     #[inline]
     pub fn read_f64(&mut self) -> Result<f64, Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Null => Ok(f64::NAN),
-                Value::Int(i) => Ok(*i as f64),
-                Value::Float(f) => Ok(*f),
-                other => Err(expected("number", other.kind())),
-            };
-        }
         self.skip_ws();
         if self.at_number() {
             match self.number() {
@@ -144,12 +104,6 @@ impl<'a> Reader<'a> {
 
     /// Read a string.
     pub fn read_string(&mut self) -> Result<String, Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Str(s) => Ok(s.clone()),
-                other => Err(expected("string", other.kind())),
-            };
-        }
         self.skip_ws();
         if self.peek() != Some(b'"') {
             return Err(expected("string", self.next_kind()));
@@ -159,18 +113,12 @@ impl<'a> Reader<'a> {
 
     /// Read any value into a tree.
     pub fn read_value(&mut self) -> Result<Value, Error> {
-        match self.tree {
-            Some(v) => Ok(v.clone()),
-            None => self.value(),
-        }
+        self.value()
     }
 
     /// Read past one value, checking it as fully as [`Reader::read_value`].
     pub fn skip(&mut self) -> Result<(), Error> {
-        match self.tree {
-            Some(_) => Ok(()),
-            None => self.value().map(drop),
-        }
+        self.value().map(drop)
     }
 
     /// Read an array, handing each element's index and a reader
@@ -179,15 +127,6 @@ impl<'a> Reader<'a> {
         &mut self,
         mut element: impl FnMut(usize, &mut Reader<'a>) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Array(items) => items
-                    .iter()
-                    .enumerate()
-                    .try_for_each(|(i, item)| element(i, &mut Reader::from_tree(item))),
-                other => Err(expected("array", other.kind())),
-            };
-        }
         if !self.open(b'[', "array")? {
             return Ok(());
         }
@@ -208,14 +147,6 @@ impl<'a> Reader<'a> {
         &mut self,
         mut member: impl FnMut(&str, &mut Reader<'a>) -> Result<(), Error>,
     ) -> Result<(), Error> {
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Object(pairs) => pairs
-                    .iter()
-                    .try_for_each(|(k, m)| member(k, &mut Reader::from_tree(m))),
-                other => Err(expected("object", other.kind())),
-            };
-        }
         if !self.open(b'{', "object")? {
             return Ok(());
         }
@@ -237,15 +168,6 @@ impl<'a> Reader<'a> {
         variant: impl FnOnce(&str, Option<&mut Reader<'a>>) -> Result<T, Error>,
     ) -> Result<T, Error> {
         let not_a_variant = |kind: &str| Error(format!("expected {name} variant, got {kind}"));
-        if let Some(v) = self.tree {
-            return match v {
-                Value::Str(tag) => variant(tag, None),
-                Value::Object(pairs) if pairs.len() == 1 => {
-                    variant(&pairs[0].0, Some(&mut Reader::from_tree(&pairs[0].1)))
-                }
-                other => Err(not_a_variant(other.kind())),
-            };
-        }
         self.skip_ws();
         match self.peek() {
             Some(b'"') => {
@@ -267,7 +189,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    // ---- Text input ----
+    // ---- Scanning ----
 
     #[inline]
     fn skip_ws(&mut self) {
@@ -554,12 +476,6 @@ fn parse_float(text: &str) -> Result<f64, Error> {
 mod tests {
     use super::*;
 
-    fn text_value(s: &str) -> Result<Value, Error> {
-        let mut r = Reader::from_text(s);
-        let v = r.read_value()?;
-        r.finish().map(|()| v)
-    }
-
     #[test]
     fn strings_borrow_unless_escaped() {
         let mut r = Reader::from_text(r#""plain" "a\nb""#);
@@ -568,25 +484,5 @@ mod tests {
         let escaped = r.string().unwrap();
         assert!(matches!(escaped, Cow::Owned(_)));
         assert_eq!(escaped, "a\nb");
-    }
-
-    #[test]
-    fn trees_and_text_read_alike() {
-        let text = r#"{"a":[1,2.5,null],"b":"x","a":true}"#;
-        let tree = text_value(text).unwrap();
-        let mut from_text = Vec::new();
-        let mut from_tree = Vec::new();
-        for (r, keys) in [
-            (&mut Reader::from_text(text), &mut from_text),
-            (&mut Reader::from_tree(&tree), &mut from_tree),
-        ] {
-            r.read_map(|k, r| {
-                keys.push((k.to_string(), r.read_value()?));
-                Ok(())
-            })
-            .unwrap();
-        }
-        assert_eq!(from_text, from_tree);
-        assert_eq!(from_text.len(), 3, "duplicates are handed over too");
     }
 }

@@ -1,15 +1,16 @@
 //! Offline shim of `serde_derive`.
 //!
 //! Generates impls of the local serde shim's `Serialize` (render into a
-//! `Value` tree) and `Deserialize` (pull from a `serde::Reader`, over JSON
-//! text or a tree) traits, parsing the item with hand-rolled `proc_macro`
-//! token walking instead of `syn`. The trick that keeps this small:
-//! generated code never needs to *name* field types. A decoded struct
-//! reads each member into an `Option` slot through type-inferred helpers
+//! `Value` tree) and `Deserialize` (pull from a `serde::Reader` over JSON
+//! text) traits, parsing the item with hand-rolled `proc_macro` token
+//! walking instead of `syn`. The trick that keeps this small: generated
+//! code never needs to *name* field types. A decoded struct reads each
+//! member into an `Option` slot through type-inferred helpers
 //! (`serde::read_member`, then `serde::member` once the object is read),
-//! so the parser only records field names, arities, and whether
-//! `#[serde(default)]` is present — types are skipped by bracket-depth
-//! counting.
+//! so the parser only records field names, arities and two field
+//! attributes in upstream's spelling — `#[serde(default)]` and
+//! `#[serde(skip_serializing_if = "path")]` — and skips types by
+//! bracket-depth counting.
 //!
 //! Supported shapes (all the workspace uses): named structs, tuple structs
 //! (newtypes serialize transparently), unit structs, and enums with unit /
@@ -33,10 +34,14 @@ enum Body {
     Enum(Vec<Variant>),
 }
 
+#[derive(Default)]
 struct Field {
     name: String,
     /// `#[serde(default)]` present.
     default: bool,
+    /// `#[serde(skip_serializing_if = "path")]`: the member is written
+    /// only when `path(&field)` is false.
+    skip_if: Option<String>,
 }
 
 struct Variant {
@@ -116,33 +121,41 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Skip `#[...]` attributes; report whether any was `#[serde(default)]`.
-fn skip_attrs_check_default(toks: &[TokenTree], i: &mut usize) -> bool {
-    let mut default = false;
+/// Skip `#[...]` attributes, collecting the `#[serde(...)]` arguments
+/// into `field`.
+fn skip_field_attrs(toks: &[TokenTree], i: &mut usize, field: &mut Field) {
     while matches!(&toks.get(*i), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
         if let Some(TokenTree::Group(g)) = toks.get(*i + 1) {
-            default |= attr_is_serde_default(g.stream());
+            read_serde_attr(g.stream(), field);
             *i += 2;
         } else {
             *i += 1;
         }
     }
-    default
 }
 
 fn skip_attrs(toks: &[TokenTree], i: &mut usize) {
-    skip_attrs_check_default(toks, i);
+    skip_field_attrs(toks, i, &mut Field::default());
 }
 
-fn attr_is_serde_default(attr: TokenStream) -> bool {
-    let toks: Vec<TokenTree> = attr.into_iter().collect();
-    match (toks.first(), toks.get(1)) {
-        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
-            args.stream()
-                .into_iter()
-                .any(|t| matches!(&t, TokenTree::Ident(a) if a.to_string() == "default"))
-        }
-        _ => false,
+/// Record `default` and `skip_serializing_if = "path"` from one attribute
+/// if it is `serde(...)`.
+fn read_serde_attr(attr: TokenStream, field: &mut Field) {
+    let text = attr.to_string();
+    let Some(args) = text
+        .strip_prefix("serde")
+        .filter(|a| a.trim_start().starts_with('('))
+    else {
+        return;
+    };
+    let has = |word| {
+        args.split(|c: char| !c.is_alphanumeric() && c != '_')
+            .any(|w| w == word)
+    };
+    field.default |= has("default");
+    if has("skip_serializing_if") {
+        // The path is the attribute's one string literal.
+        field.skip_if = args.split('"').nth(1).map(str::to_string);
     }
 }
 
@@ -211,16 +224,17 @@ fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut i = 0;
     let mut fields = Vec::new();
     while i < toks.len() {
-        let default = skip_attrs_check_default(&toks, &mut i);
+        let mut field = Field::default();
+        skip_field_attrs(&toks, &mut i, &mut field);
         if i >= toks.len() {
             break;
         }
         skip_vis(&toks, &mut i);
-        let name = take_ident(&toks, &mut i);
+        field.name = take_ident(&toks, &mut i);
         // ':'
         i += 1;
         skip_type(&toks, &mut i);
-        fields.push(Field { name, default });
+        fields.push(field);
     }
     fields
 }
@@ -352,18 +366,7 @@ fn gen_serialize(item: &Item) -> String {
     let (impl_g, ty_g) = generics_strings(item, "::serde::Serialize");
     let name = &item.name;
     let body = match &item.body {
-        Body::Named(fields) => {
-            let pairs: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{0}\"), ::serde::Serialize::to_value(&self.{0}))",
-                        f.name
-                    )
-                })
-                .collect();
-            format!("::serde::Value::Object(::std::vec![{}])", pairs.join(", "))
-        }
+        Body::Named(fields) => write_named(fields, |f| format!("&self.{f}")),
         Body::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
         Body::Tuple(n) => {
             let elems: Vec<String> = (0..*n)
@@ -399,19 +402,10 @@ fn gen_serialize(item: &Item) -> String {
                         VariantKind::Named(fields) => {
                             let binds: Vec<String> =
                                 fields.iter().map(|f| f.name.clone()).collect();
-                            let pairs: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(::std::string::String::from(\"{0}\"), ::serde::Serialize::to_value({0}))",
-                                        f.name
-                                    )
-                                })
-                                .collect();
                             format!(
-                                "Self::{vn} {{ {b} }} => ::serde::Value::Object(::std::vec![(::std::string::String::from(\"{vn}\"), ::serde::Value::Object(::std::vec![{p}]))]),",
+                                "Self::{vn} {{ {b} }} => ::serde::Value::Object(::std::vec![(::std::string::String::from(\"{vn}\"), {o})]),",
                                 b = binds.join(", "),
-                                p = pairs.join(", ")
+                                o = write_named(fields, str::to_string)
                             )
                         }
                     }
@@ -425,6 +419,30 @@ fn gen_serialize(item: &Item) -> String {
         "impl{impl_g} ::serde::Serialize for {name}{ty_g} {where_c} {{ \
             fn to_value(&self) -> ::serde::Value {{ {body} }} \
         }}"
+    )
+}
+
+/// An expression building the object of the named `fields`, in order;
+/// `field(name)` is an expression of type `&FieldType`. A member with a
+/// `skip_serializing_if` predicate is left out when the predicate holds.
+fn write_named(fields: &[Field], field: impl Fn(&str) -> String) -> String {
+    let pushes: String = fields
+        .iter()
+        .map(|f| {
+            let push = format!(
+                "__members.push((::std::string::String::from(\"{}\"), ::serde::Serialize::to_value({})));",
+                f.name,
+                field(&f.name)
+            );
+            match &f.skip_if {
+                Some(skip) => format!("if !{skip}({}) {{ {push} }}", field(&f.name)),
+                None => push,
+            }
+        })
+        .collect();
+    format!(
+        "{{ let mut __members = ::std::vec::Vec::with_capacity({}); {pushes} ::serde::Value::Object(__members) }}",
+        fields.len()
     )
 }
 

@@ -6,7 +6,9 @@
 //! uses), formatting every number straight into the output, and reads
 //! text back with `from_str`, which hands the text to the serde shim's
 //! pull [`serde::Reader`]: members decode straight into the target type,
-//! and a tree is built only when the target is `Value`. Numbers keep their
+//! and a tree is built only when the target is `Value`. That reader is the
+//! one decode path: wire frames and checkpoints alike decode from text
+//! into typed values. Numbers keep their
 //! integer-ness where possible; non-finite floats serialize as `null` (as
 //! real serde_json's `json!` does) and read back as NaN.
 
@@ -288,6 +290,37 @@ mod tests {
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("12 34").is_err());
         assert!(from_str::<Value>("").is_err());
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct State<'a> {
+        tick: u64,
+        #[serde(default)]
+        curve: std::borrow::Cow<'a, [f64]>,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        term: Option<u64>,
+    }
+
+    #[test]
+    fn skipped_members_and_borrowed_state_round_trip() {
+        let curve = [0.5, 2.0];
+        let mut s = State {
+            tick: 3,
+            curve: std::borrow::Cow::Borrowed(&curve),
+            term: None,
+        };
+        let text = to_string(&s).unwrap();
+        assert_eq!(text, r#"{"tick":3,"curve":[0.5,2.0]}"#);
+        let back: State<'_> = from_str(&text).unwrap();
+        assert!(matches!(back.curve, std::borrow::Cow::Owned(_)));
+        assert_eq!(back, s);
+        s.term = Some(9);
+        let text = to_string(&s).unwrap();
+        assert_eq!(text, r#"{"tick":3,"curve":[0.5,2.0],"term":9}"#);
+        assert_eq!(from_str::<State<'_>>(&text).unwrap(), s);
+        // `#[serde(default)]` fills a missing member.
+        let bare: State<'_> = from_str(r#"{"tick":1}"#).unwrap();
+        assert!(bare.curve.is_empty() && bare.term.is_none());
     }
 
     #[test]

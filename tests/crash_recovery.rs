@@ -76,7 +76,7 @@ fn every_crash_point_restores_to_identical_aggregates() {
     for (i, bytes) in checkpoints.iter().enumerate() {
         let cp = Checkpoint::decode(bytes).expect("clean checkpoint decodes");
         let (mut resumed, at) =
-            System::restore(opts(), mix(), &cp).unwrap_or_else(|e| panic!("boundary {i}: {e}"));
+            System::restore(opts(), mix(), cp).unwrap_or_else(|e| panic!("boundary {i}: {e}"));
         let r = resumed
             .resume_with_hook(at, &mut |_, _| EpochControl::Continue)
             .into_result();
@@ -111,7 +111,7 @@ fn crash_once_and_compare(o: SimOptions, crash_at: u64) {
         return;
     };
     let cp = Checkpoint::decode(&bytes).expect("clean checkpoint decodes");
-    let (mut resumed, at) = System::restore(o, mix(), &cp).expect("restores");
+    let (mut resumed, at) = System::restore(o, mix(), cp).expect("restores");
     let r = resumed
         .resume_with_hook(at, &mut |_, _| EpochControl::Continue)
         .into_result();

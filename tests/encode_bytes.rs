@@ -1,20 +1,27 @@
 //! Encoded bytes are pinned (tier 1).
 //!
 //! One frame of every wire request and response kind, one pretty-printed
-//! results document, and the checkpoint of a replicated 128-core service
-//! are encoded and digested with FNV-1a. The expected digests were
-//! computed by a writer that formatted each number into a temporary
-//! `String` and deep-cloned a checkpoint's payload before writing it; a
-//! writer change that moves a single byte of any frame, of the number
-//! formats, or of the checkpoint format fails here with the frame's name.
+//! results document, the checkpoint of a replicated 128-core service and
+//! two simulator checkpoints are encoded and digested with FNV-1a. The
+//! expected digests were computed by a writer that formatted each number
+//! into a temporary `String` and deep-cloned a checkpoint's payload before
+//! writing it; the simulator digests by the writer that assembled each
+//! component's checkpoint as a hand-built `Value` tree. A writer change
+//! that moves a single byte of any frame, of the number formats, or of the
+//! checkpoint format fails here with the frame's name.
 
-use bankaware::partitioning::{DecisionService, ServeConfig};
+use bankaware::partitioning::{DecisionService, Policy, ServeConfig};
 use bankaware::recovery::fnv1a64;
+use bankaware::system::{EpochControl, SimOptions, System};
 use bankaware::trace::wire::{
     encode_request, encode_response, RequestKind, ResponseKind, SessionDigest, WireCurve,
     WireLogEntry, WireRequest, WireResponse, WireSummary,
 };
-use bankaware::types::ReplicationConfig;
+use bankaware::types::config::DramKind;
+use bankaware::types::{
+    ControlConfig, QosConfig, RegulatorConfig, ReplicationConfig, SloSpec, SystemConfig,
+};
+use bankaware::workloads::spec_by_name;
 
 /// Floats whose shortest round-trip text takes every shape the writer
 /// produces: integral (`3.0`), fractional, exponent forms on both ends,
@@ -323,6 +330,69 @@ fn service_checkpoint() -> Vec<u8> {
     service.checkpoint().encode()
 }
 
+/// A short seeded simulator run in which every checkpointed component
+/// carries data: SLOs on cores 0 and 1 with both bandwidth regulators
+/// armed (so the regulators, the capacity-loss ledger and the admitted
+/// set are populated), warm starts on, and a coherent shared segment.
+/// The checkpoint is the one taken at the run's fourth epoch boundary.
+fn system_checkpoint(dram: DramKind) -> Vec<u8> {
+    let mut o = SimOptions::new(SystemConfig::scaled(64), Policy::BankAware);
+    o.config.epoch_cycles = 20_000;
+    o.config.dram_kind = dram;
+    o.warmup_instructions = 30_000;
+    o.measure_instructions = 60_000;
+    o.shared_fraction = 0.05;
+    o.lookup_isolation = true;
+    o.control = ControlConfig::default().with_warm_starts();
+    let slo = |min_ways| SloSpec {
+        max_wcl_cycles: 60_000,
+        min_ways,
+        bandwidth_floor: 16,
+    };
+    o.qos = QosConfig::default()
+        .with_slo(0, slo(20))
+        .with_slo(1, slo(12))
+        .with_noc_regulator(RegulatorConfig::per_period(192, 2_000))
+        .with_dram_regulator(RegulatorConfig::per_period(96, 2_000));
+    o.seed = 42;
+    let mix = [
+        "mcf", "twolf", "art", "sixtrack", "gcc", "gap", "vpr", "eon",
+    ]
+    .iter()
+    .map(|n| spec_by_name(n).expect("catalog"))
+    .collect();
+    let mut bytes = None;
+    let mut boundaries = 0;
+    System::new(o, mix).run_with_hook(&mut |s, at| {
+        boundaries += 1;
+        if boundaries < 4 {
+            return EpochControl::Continue;
+        }
+        bytes = Some(s.checkpoint(at).encode());
+        EpochControl::Halt
+    });
+    let bytes = bytes.expect("the run reaches a fourth epoch boundary");
+    // Every component the pin is meant to cover carries data.
+    let body: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&bytes[24..]).expect("UTF-8")).expect("JSON");
+    let mem = &body["mem"];
+    let controller = &mem["controller"];
+    assert!(
+        mem["noc"]["regulator"].as_object().is_some(),
+        "NoC regulator"
+    );
+    assert!(mem["dram"]["state"]["regulator"].as_object().is_some());
+    assert!(!controller["slo_admitted"].as_array().unwrap().is_empty());
+    assert_ne!(controller["ledger"], serde_json::Value::Null);
+    assert_ne!(controller["last_plan"], serde_json::Value::Null);
+    assert!(!mem["coherence"]["directory"]["entries"]
+        .as_array()
+        .unwrap()
+        .is_empty());
+    assert!(!mem["current_bounds"].as_array().unwrap().is_empty());
+    bytes
+}
+
 /// `(name, length, FNV-1a-64)` of each frame as the reference writer
 /// encoded it.
 const PINNED: &[(&str, usize, u64)] = &[
@@ -360,6 +430,13 @@ const PINNED: &[(&str, usize, u64)] = &[
 /// Length and digest of the reference writer's 128-core checkpoint.
 const CHECKPOINT: (usize, u64) = (176_793, 0x8a8f910a36ce517f);
 
+/// Length and digest of the hand-built-tree writer's simulator
+/// checkpoints, flat and banked DRAM.
+const SYSTEM_CHECKPOINTS: [(DramKind, usize, u64); 2] = [
+    (DramKind::Flat, 255_302, 0x799ce6d3a05b9b2d),
+    (DramKind::Banked, 237_807, 0x4e8f7e523f380e92),
+];
+
 #[test]
 fn every_wire_frame_encodes_to_its_pinned_bytes() {
     let got: Vec<(String, usize, u64)> = frames()
@@ -387,4 +464,18 @@ fn a_128_core_service_checkpoint_encodes_to_its_pinned_bytes() {
         "the checkpoint bytes moved (now {} B, digest {:#018x})",
         got.0, got.1
     );
+}
+
+#[test]
+fn simulator_checkpoints_encode_to_their_pinned_bytes() {
+    for (dram, len, digest) in SYSTEM_CHECKPOINTS {
+        let bytes = system_checkpoint(dram);
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, digest),
+            "{dram:?} DRAM: the checkpoint bytes moved (now {} B, digest {:#018x})",
+            bytes.len(),
+            fnv1a64(&bytes)
+        );
+    }
 }

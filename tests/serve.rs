@@ -265,7 +265,7 @@ fn a_restored_service_continues_bit_identically() {
     let snap = original.snapshot();
 
     let mut restored = DecisionService::new(ServeConfig::default());
-    restored.restore(&snap).expect("restore snapshot");
+    restored.restore(snap).expect("restore snapshot");
     assert_eq!(restored.num_sessions(), original.num_sessions());
 
     let a = original.process_batch(&reqs[half..]);

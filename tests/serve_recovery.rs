@@ -256,20 +256,23 @@ fn recovery_ladder_survives_a_torn_checkpoint_file() {
 /// never a panic.
 #[test]
 fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
+    use bankaware::partitioning::ServiceState;
     use bankaware::recovery::{load_checkpoint_file, save_checkpoint_file};
+    let load = |path: &std::path::Path| load_checkpoint_file::<ServiceState>(path);
 
     let dir = std::env::temp_dir().join(format!("bap_durable_save_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("serve.cp");
 
-    let cp = seeded_service().checkpoint();
+    let seeded = seeded_service();
+    let cp = seeded.checkpoint();
     let written = save_checkpoint_file(&path, &cp.encode()).expect("save succeeds");
     assert_eq!(written, cp.encode().len(), "reported size is the payload");
     assert!(
         !path.with_extension("tmp").exists(),
         "the staging file must not survive a successful save"
     );
-    let back = load_checkpoint_file(&path).expect("reload");
+    let back = load(&path).expect("reload");
     assert_eq!(back.encode(), cp.encode(), "round trip is bit-exact");
 
     // Overwrite in place: a second save replaces the file wholesale.
@@ -284,7 +287,7 @@ fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
     let cp2 = svc.checkpoint();
     save_checkpoint_file(&path, &cp2.encode()).expect("overwrite succeeds");
     assert_eq!(
-        load_checkpoint_file(&path).expect("reload").encode(),
+        load(&path).expect("reload").encode(),
         cp2.encode(),
         "the destination was replaced wholesale"
     );
@@ -296,7 +299,7 @@ fn save_checkpoint_file_is_atomic_and_reloads_bit_exactly() {
         "unwritable destination must be a typed error"
     );
     assert_eq!(
-        load_checkpoint_file(&path).expect("survivor").encode(),
+        load(&path).expect("survivor").encode(),
         cp2.encode(),
         "a failed save elsewhere must not disturb the existing file"
     );
