@@ -191,7 +191,6 @@ fn main() {
             &cfg,
             &tracer,
             SolveBudget::unlimited(),
-            0.0,
         )
         .expect("priming solve feasible");
         let warm_us = time_us(iterations, || {
@@ -202,7 +201,6 @@ fn main() {
                 &cfg,
                 &tracer,
                 SolveBudget::unlimited(),
-                0.0,
             )
             .expect("warm solve feasible");
         });

@@ -141,10 +141,9 @@ fn main() {
     // Stage 2: the detailed simulator with the same tracer attached.
     let mut opts = SimOptions::new(cfg.clone(), Policy::BankAware);
     opts.seed = args.seed;
-    // Warm starts stay replay-exact at the default zero threshold: a reused
-    // cluster sub-plan is bit-identical to what a full solve would produce,
-    // so gate 2 below doubles as the incremental-solver fidelity check.
-    opts.control = opts.control.with_warm_starts();
+    // The controller solves warm, and a reused cluster sub-plan is
+    // bit-identical to what a full solve would produce, so gate 2 below
+    // doubles as the incremental-solver fidelity check.
     opts.config.epoch_cycles = if args.quick { 60_000 } else { 250_000 };
     opts.warmup_instructions = if args.quick { 50_000 } else { 200_000 };
     opts.measure_instructions = if args.quick { 150_000 } else { 1_000_000 };

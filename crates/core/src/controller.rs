@@ -28,9 +28,10 @@
 //! robustness layer configured by [`bap_types::ControlConfig`]:
 //!
 //! * **decision budget** — the solve runs under a deterministic
-//!   [`SolveBudget`]; Center-phase exhaustion (and an expired wall-clock
-//!   stage deadline) *sheds* the decision — the last-good plan stays in
-//!   force and `FaultCounters::budget_sheds` counts it — while Local-phase
+//!   [`SolveBudget`]; Center-phase exhaustion (and an expired stage
+//!   deadline, which only `bap serve`'s Budgeted brownout passes) *sheds*
+//!   the decision — the last-good plan stays in force and
+//!   `FaultCounters::budget_sheds` counts it — while Local-phase
 //!   exhaustion closes out early from a consistent checkpoint inside the
 //!   solver itself;
 //! * **anti-thrash hysteresis** — a candidate plan is installed only when
@@ -40,12 +41,20 @@
 //!   both the gate and the hold-off when the workload genuinely shifts.
 //!
 //! With the default (disabled) hysteresis and unlimited budget this layer
-//! is behaviour-neutral: plans, counters and traces are bit-identical to
-//! the classic controller.
+//! is behaviour-neutral: plans and counters are bit-identical to the
+//! classic controller.
+//!
+//! # One solve path
+//!
+//! Every Bank-aware solve goes through the controller's
+//! [`IncrementalSolver`], which reuses a cluster's cached sub-plan only
+//! when everything that sub-solve reads is unchanged, so its plans and
+//! errors are those of a cold
+//! [`crate::bank_aware::try_bank_aware_partition_budgeted`]. Traces show
+//! the reuse as [`EventKind::SolverDelta`] and [`EventKind::WarmStartHit`]
+//! events.
 
-use crate::bank_aware::{
-    try_bank_aware_partition_budgeted, BankAwareConfig, PartitionError, SolveBudget,
-};
+use crate::bank_aware::{BankAwareConfig, PartitionError, SolveBudget};
 use crate::incremental::{IncrementalSolver, IncrementalStats};
 use crate::projection::projected_plan_misses;
 use crate::qos::{self, QosState};
@@ -218,8 +227,9 @@ impl Controller {
 
     /// Configure the control-loop robustness layer (decision budget +
     /// hysteresis). Defaults are behaviour-neutral; call before the run
-    /// starts — changing thresholds mid-flight is legal but resets no
-    /// state.
+    /// starts. A mid-run change keeps the hysteresis state, but a new step
+    /// budget no longer matches the warm state, which the next Bank-aware
+    /// solve drops before it solves cold.
     pub fn set_control(&mut self, control: ControlConfig) {
         self.control = control;
     }
@@ -276,7 +286,7 @@ impl Controller {
     }
 
     /// Warm-start statistics accumulated by the incremental solver (all
-    /// zero when [`bap_types::IncrementalConfig`] is disabled).
+    /// zero under a policy other than Bank-aware).
     pub fn incremental_stats(&self) -> IncrementalStats {
         self.incr.stats()
     }
@@ -592,10 +602,10 @@ impl Controller {
     }
 
     /// [`Controller::epoch_boundary_with_curves`] under a wall-clock stage
-    /// deadline (the `max_epoch_nanos` half of the decision budget). The
-    /// deadline is checked at the stage boundary between curve sanitisation
-    /// and the solve: an overrun sheds the decision to the last-good plan.
-    /// `None` — the deterministic default — never sheds.
+    /// deadline (`bap serve`'s Budgeted brownout). The deadline is checked
+    /// at the stage boundary between curve sanitisation and the solve: an
+    /// overrun sheds the decision to the last-good plan. `None` — the
+    /// deterministic default — never sheds.
     pub fn epoch_boundary_with_curves_deadline(
         &mut self,
         curves: Vec<MissRatioCurve>,
@@ -745,27 +755,14 @@ impl Controller {
     ) -> Option<PartitionPlan> {
         let machine = DegradedTopology::new(self.topo.clone(), self.mask);
         let t0 = self.tracer.is_enabled().then(std::time::Instant::now);
-        let budget = SolveBudget::steps(self.control.budget.max_solver_steps);
-        let solved = if self.control.incremental.enabled {
-            self.incr.solve(
-                curves,
-                &machine,
-                self.bank_ways,
-                &self.cfg,
-                &self.tracer,
-                budget,
-                self.control.incremental.delta_threshold,
-            )
-        } else {
-            try_bank_aware_partition_budgeted(
-                curves,
-                &machine,
-                self.bank_ways,
-                &self.cfg,
-                &self.tracer,
-                budget,
-            )
-        };
+        let solved = self.incr.solve(
+            curves,
+            &machine,
+            self.bank_ways,
+            &self.cfg,
+            &self.tracer,
+            SolveBudget::steps(self.control.budget.max_solver_steps),
+        );
         if let Some(t0) = t0 {
             self.tracer
                 .timing_masked("solve", t0.elapsed().as_nanos() as u64, self.mask.bits());
@@ -996,6 +993,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank_aware::try_bank_aware_partition_budgeted;
     use bap_core_test_util::feed_knee_profile;
     use bap_msa::EngineKind;
 
@@ -1402,33 +1400,62 @@ mod tests {
 
     #[test]
     fn warm_start_controller_is_plan_identical_to_classic() {
-        let mut cold = controller(Policy::BankAware);
-        let mut warm = controller(Policy::BankAware);
-        warm.set_control(ControlConfig::default().with_warm_starts());
-        for round in 0..6 {
-            feed_knee_profile(&mut cold, CoreId(round % 8), 12 + round as usize, 30_000);
-            feed_knee_profile(&mut warm, CoreId(round % 8), 12 + round as usize, 30_000);
-            assert_eq!(
-                cold.epoch_boundary(),
-                warm.epoch_boundary(),
-                "round {round}: warm starts must not change any decision"
+        // The cold oracle: a fresh sharded solve of the curves and mask the
+        // controller solved, under the step budget it ran with. The script
+        // repeats curves (warm hits), loses a bank (a mask transition) and
+        // changes the budget twice, once to one that sheds.
+        let a = knee_curves(&[40, 8, 8, 8, 8, 8, 8, 8], 1_000.0);
+        let b = knee_curves(&[4, 30, 12, 8, 8, 8, 8, 20], 1_000.0);
+        let script = [
+            (&a, None, 0),
+            (&a, None, 0),
+            (&b, None, 0),
+            (&b, Some(BankId(9)), 0),
+            (&b, None, 0),
+            (&b, None, 1),
+            (&b, None, 0),
+            (&a, None, 0),
+        ];
+        let mut c = controller(Policy::BankAware);
+        let mut sheds = 0;
+        for (round, (curves, lost, steps)) in script.into_iter().enumerate() {
+            if let Some(bank) = lost {
+                c.bank_failed(bank);
+            }
+            c.set_control(ControlConfig::default().with_step_budget(steps));
+            let oracle = try_bank_aware_partition_budgeted(
+                curves,
+                &DegradedTopology::new(c.topo.clone(), *c.mask()),
+                8,
+                &BankAwareConfig::default(),
+                &Tracer::off(),
+                SolveBudget::steps(steps),
             );
+            let decided = c.epoch_boundary_with_curves(curves.clone());
+            match oracle {
+                Ok(plan) => assert_eq!(decided, Some(plan), "round {round}"),
+                Err(PartitionError::BudgetExhausted { .. }) => {
+                    sheds += 1;
+                    assert_eq!(decided, None, "round {round}: a shed installs nothing");
+                }
+                Err(e) => panic!("round {round}: the oracle failed: {e}"),
+            }
         }
-        assert_eq!(cold.counters(), warm.counters());
-        let stats = warm.incremental_stats();
-        assert_eq!(stats.decisions, 6);
-        assert!(stats.full_solves >= 1);
+        assert_eq!(sheds, 1);
+        let ctrs = c.counters();
+        assert_eq!((ctrs.budget_sheds, ctrs.solver_failures), (1, 0));
+        // Cold: the first round, the mask change and both budget changes.
+        // Warm hits: the two rounds that repeat their predecessor's curves.
+        let stats = c.incremental_stats();
         assert_eq!(
-            cold.incremental_stats(),
-            crate::IncrementalStats::default(),
-            "the classic path never touches the incremental solver"
+            (stats.decisions, stats.full_solves, stats.warm_hits),
+            (8, 4, 2)
         );
     }
 
     #[test]
     fn stationary_curves_stop_resolving_under_the_controller() {
         let mut c = controller(Policy::BankAware);
-        c.set_control(ControlConfig::default().with_warm_starts());
         let curves = knee_curves(&[40, 8, 8, 8, 8, 8, 8, 8], 1_000.0);
         for _ in 0..5 {
             c.epoch_boundary_with_curves(curves.clone());
@@ -1445,7 +1472,6 @@ mod tests {
     #[test]
     fn warm_start_survives_bank_transitions() {
         let mut c = controller(Policy::BankAware);
-        c.set_control(ControlConfig::default().with_warm_starts());
         for i in 0..8 {
             feed_knee_profile(&mut c, CoreId(i), 10, 20_000);
         }
@@ -1464,7 +1490,6 @@ mod tests {
     #[test]
     fn snapshot_round_trips_warm_state() {
         let mut c = controller(Policy::BankAware);
-        c.set_control(ControlConfig::default().with_warm_starts());
         let curves = knee_curves(&[40, 8, 8, 8, 8, 8, 8, 8], 1_000.0);
         c.epoch_boundary_with_curves(curves.clone());
         let snap = c.snapshot();

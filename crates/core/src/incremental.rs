@@ -1,4 +1,5 @@
-//! Incremental (warm-start) Bank-aware solving.
+//! Incremental (warm-start) Bank-aware solving: the controller's one
+//! Bank-aware solve.
 //!
 //! On clustered floorplans the Fig. 6 solve decomposes exactly into
 //! independent per-cluster shards (see the cluster-sharding notes in
@@ -6,35 +7,36 @@
 //! miss-ratio curve at once, so most shards re-derive the sub-plan they
 //! produced last epoch. The [`IncrementalSolver`] exploits that: it keeps
 //! the previous epoch's per-cluster sub-plans together with the curves they
-//! were solved against, classifies each cluster *dirty* or *clean* by how
-//! far its cores' curves have moved, re-solves only the dirty shards and
-//! splices the cached sub-plans in for the rest.
+//! were solved against, marks a cluster *dirty* when any of its cores'
+//! curves changed, re-solves only the dirty shards and splices the cached
+//! sub-plans in for the rest.
 //!
 //! # Equivalence contract
 //!
-//! With `delta_threshold == 0.0` (the default) a cluster is reused only
-//! when its curves are **bit-for-bit unchanged** since its last re-solve.
-//! The per-cluster solve is a deterministic function of (curves, mask,
-//! config), so the reused sub-plan is exactly what a fresh solve would have
-//! produced and the merged plan is identical to the full solve — warm
-//! starts at threshold 0 are a pure latency optimisation, and the golden
-//! figures and the offline trace replay gate hold bit-identically. The
-//! property tests in this module and the replay gate in `exp_trace` pin
-//! that contract down.
+//! A cluster is reused only when its curves are **bit-for-bit unchanged**
+//! since its last re-solve. The per-cluster solve is a deterministic
+//! function of (curves, mask, bank ways, solver configuration, step
+//! budget), so the reused sub-plan is exactly what a fresh solve would
+//! have produced and the merged plan — or the error — is identical to
+//! [`crate::bank_aware::try_bank_aware_partition_budgeted`]'s. Warm starts
+//! are a pure latency optimisation: the golden figures and the offline
+//! trace replay gate hold bit-identically. The property tests in this
+//! module and the replay gate in `exp_trace` pin that contract down.
 //!
 //! # Safety fallbacks
 //!
 //! The warm state carries a fingerprint of everything the sub-solves read
-//! besides the curves: topology shape, bank mask, bank ways and the solver
-//! configuration. Any mismatch — first solve, mask transition after a bank
-//! failure, reconfiguration — discards the cache and runs the full cold
-//! solve. A failed solve also drops the cache, so an error can never leave
-//! half-updated warm state behind.
+//! besides the curves: topology shape, the exact bank mask, bank ways, the
+//! capacity caps and the step budget. Any mismatch — first solve, mask
+//! transition after a bank failure, reconfiguration, a new budget —
+//! discards the cache and runs the full cold solve. A failed solve also
+//! drops the cache, so an error can never leave half-updated warm state
+//! behind.
 //!
 //! # Observability
 //!
 //! Every warm decision emits one [`EventKind::SolverDelta`] (how many
-//! clusters were dirty and the largest curve movement observed) and one
+//! clusters were dirty and the largest curve movement among them) and one
 //! [`EventKind::WarmStartHit`] per reused shard (with the cluster's current
 //! reuse streak). [`IncrementalStats`] accumulates the same signals as
 //! plain counters for untraced runs.
@@ -63,27 +65,12 @@ pub struct IncrementalStats {
     pub warm_hits: u64,
 }
 
-impl IncrementalStats {
-    /// Fraction of cluster decisions that required a re-solve (1.0 until
-    /// the first warm hit; 0.0 for a fully stationary workload after
-    /// warm-up).
-    pub fn resolve_rate(&self) -> f64 {
-        let total = self.cluster_solves + self.warm_hits;
-        if total == 0 {
-            return 1.0;
-        }
-        self.cluster_solves as f64 / total as f64
-    }
-}
-
 /// Everything the previous epoch's solve depended on, kept so the next
 /// epoch can prove which clusters are unchanged.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 struct WarmState {
     /// The curves each cluster was last *re-solved* against (per core,
-    /// global order). Clean clusters keep their baseline, so slow drift
-    /// accumulates against it instead of hiding below the threshold one
-    /// epoch at a time.
+    /// global order).
     curves: Vec<MissRatioCurve>,
     /// Bank-mask fingerprint at the last solve.
     mask_bits: u64,
@@ -96,6 +83,11 @@ struct WarmState {
     cap_num: usize,
     cap_den: usize,
     min_ways: usize,
+    /// The step budget of the last solve (`None` = unlimited). Written only
+    /// when set, so an unbudgeted checkpoint keeps its bytes, and a state
+    /// written before the budget was recorded reads as unlimited.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    max_steps: Option<u64>,
     /// The per-cluster sub-plans, ascending cluster order.
     solutions: Vec<ClusterSolution>,
     /// Consecutive epochs each cluster has been reused (0 right after a
@@ -104,9 +96,15 @@ struct WarmState {
 }
 
 impl WarmState {
-    /// Whether the cached state is still talking about the same machine
-    /// and solver configuration.
-    fn matches(&self, machine: &DegradedTopology, bank_ways: usize, cfg: &BankAwareConfig) -> bool {
+    /// Whether the cached state is still talking about the same machine,
+    /// solver configuration and step budget.
+    fn matches(
+        &self,
+        machine: &DegradedTopology,
+        bank_ways: usize,
+        cfg: &BankAwareConfig,
+        budget: SolveBudget,
+    ) -> bool {
         let topo = machine.topology();
         self.mask_bits == machine.mask().bits()
             && self.num_cores == topo.num_cores()
@@ -116,7 +114,13 @@ impl WarmState {
             && self.cap_num == cfg.max_capacity_num
             && self.cap_den == cfg.max_capacity_den
             && self.min_ways == cfg.min_ways
+            && self.max_steps == step_limit(budget)
     }
+}
+
+/// A step budget as [`WarmState`] records it: `None` when unlimited.
+fn step_limit(budget: SolveBudget) -> Option<u64> {
+    (budget.max_steps > 0).then_some(budget.max_steps)
 }
 
 /// The warm-start solver. One instance lives inside the controller; its
@@ -157,9 +161,7 @@ impl IncrementalSolver {
     /// The incremental counterpart of
     /// [`crate::bank_aware::try_bank_aware_partition_budgeted`]: same
     /// inputs, same outputs, same error surface — plus the warm-start
-    /// machinery described at module level. `delta_threshold` is the
-    /// per-cluster curve-movement bound for reuse.
-    #[allow(clippy::too_many_arguments)]
+    /// machinery described at module level.
     pub fn solve(
         &mut self,
         curves: &[MissRatioCurve],
@@ -168,7 +170,6 @@ impl IncrementalSolver {
         cfg: &BankAwareConfig,
         tracer: &Tracer,
         budget: SolveBudget,
-        delta_threshold: f64,
     ) -> Result<PartitionPlan, PartitionError> {
         self.stats.decisions += 1;
         let curve_refs: Vec<&MissRatioCurve> = curves.iter().collect();
@@ -178,52 +179,34 @@ impl IncrementalSolver {
         let usable = self
             .warm
             .as_ref()
-            .is_some_and(|w| w.matches(machine, bank_ways, cfg));
+            .is_some_and(|w| w.matches(machine, bank_ways, cfg, budget));
         if !usable {
             return self.cold_solve(&curve_refs, machine, bank_ways, cfg, tracer, budget);
         }
 
-        // ---- Classify clusters by curve movement since their last solve. ----
+        // ---- A cluster is dirty when any of its curves changed. ----
         let topo = machine.topology();
         let clusters = topo.num_clusters();
         let k = topo.cluster_cores();
         let warm = self.warm.as_ref().expect("usable implies warm");
-        let mut dirty: Vec<usize> = Vec::new();
-        let mut is_dirty = vec![false; clusters];
-        let mut max_delta = 0.0f64;
-        for (cl, dirty_flag) in is_dirty.iter_mut().enumerate() {
-            let cluster_cores = cl * k..(cl + 1) * k;
-            let delta = if delta_threshold == 0.0 {
-                // Exact-reuse mode: equality is the whole question, and a
-                // bitwise compare beats integrating the ratio delta curve.
-                // Unchanged clusters have movement 0 by definition, so
-                // `max_delta` still reports the true maximum; the precise
-                // movement only matters (and is only computed) for dirty
-                // clusters.
-                if cluster_cores.clone().all(|c| curves[c] == warm.curves[c]) {
-                    0.0
-                } else {
-                    cluster_cores
-                        .map(|c| curves[c].relative_delta(&warm.curves[c]))
-                        .fold(0.0, f64::max)
-                        .max(f64::MIN_POSITIVE)
-                }
-            } else {
-                cluster_cores
-                    .map(|c| curves[c].relative_delta(&warm.curves[c]))
-                    .fold(0.0, f64::max)
-            };
-            max_delta = max_delta.max(delta);
-            if delta > delta_threshold {
-                dirty.push(cl);
-                *dirty_flag = true;
-            }
-        }
-        let dirty_clusters = dirty.len();
+        let is_dirty: Vec<bool> = (0..clusters)
+            .map(|cl| (cl * k..(cl + 1) * k).any(|c| curves[c] != warm.curves[c]))
+            .collect();
+        let dirty: Vec<usize> = (0..clusters).filter(|&cl| is_dirty[cl]).collect();
         tracer.emit(|| EventKind::SolverDelta {
-            dirty_clusters,
+            dirty_clusters: dirty.len(),
             total_clusters: clusters,
-            max_delta,
+            // The largest curve movement, floored so that a dirty decision
+            // never reads as motionless; only the event reads it.
+            max_delta: dirty
+                .iter()
+                .flat_map(|&cl| cl * k..(cl + 1) * k)
+                .map(|c| {
+                    curves[c]
+                        .relative_delta(&warm.curves[c])
+                        .max(f64::MIN_POSITIVE)
+                })
+                .fold(0.0, f64::max),
         });
 
         // ---- Re-solve the dirty shards only. ----
@@ -301,6 +284,7 @@ impl IncrementalSolver {
             cap_num: cfg.max_capacity_num,
             cap_den: cfg.max_capacity_den,
             min_ways: cfg.min_ways,
+            max_steps: step_limit(budget),
             solutions,
             streaks: vec![0; clusters],
         });
@@ -349,7 +333,6 @@ mod tests {
         curves: &[MissRatioCurve],
         machine: &DegradedTopology,
         tracer: &Tracer,
-        threshold: f64,
     ) -> PartitionPlan {
         inc.solve(
             curves,
@@ -358,7 +341,6 @@ mod tests {
             &BankAwareConfig::default(),
             tracer,
             SolveBudget::unlimited(),
-            threshold,
         )
         .unwrap()
     }
@@ -372,7 +354,7 @@ mod tests {
         let oracle = full_solve(&curves, &machine);
         let mut inc = IncrementalSolver::new();
         for _ in 0..5 {
-            let plan = warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
+            let plan = warm_solve(&mut inc, &curves, &machine, &Tracer::off());
             assert_eq!(plan, oracle);
         }
         let stats = inc.stats();
@@ -380,7 +362,6 @@ mod tests {
         assert_eq!(stats.full_solves, 1, "only the first epoch runs cold");
         assert_eq!(stats.cluster_solves, 4, "one cold pass over 4 clusters");
         assert_eq!(stats.warm_hits, 4 * 4, "all later epochs reuse all shards");
-        assert_eq!(stats.resolve_rate(), 0.2);
     }
 
     #[test]
@@ -391,11 +372,11 @@ mod tests {
             .collect();
         let mut inc = IncrementalSolver::new();
         let tracer = Tracer::ring();
-        warm_solve(&mut inc, &curves, &machine, &tracer, 0.0);
+        warm_solve(&mut inc, &curves, &machine, &tracer);
         tracer.drain_events();
         // Move only core 20's curve: cluster 2 is dirty, 0/1/3 are clean.
         curves[20] = knee(50_000.0, 0.0, 60);
-        let plan = warm_solve(&mut inc, &curves, &machine, &tracer, 0.0);
+        let plan = warm_solve(&mut inc, &curves, &machine, &tracer);
         assert_eq!(plan, full_solve(&curves, &machine));
         let stats = inc.stats();
         assert_eq!(stats.cluster_solves, 4 + 1);
@@ -431,7 +412,7 @@ mod tests {
         let mut inc = IncrementalSolver::new();
         let tracer = Tracer::ring();
         for _ in 0..4 {
-            warm_solve(&mut inc, &curves, &machine, &tracer, 0.0);
+            warm_solve(&mut inc, &curves, &machine, &tracer);
         }
         let streaks: Vec<u64> = tracer
             .drain_events()
@@ -450,40 +431,16 @@ mod tests {
         let healthy = DegradedTopology::healthy(topo.clone());
         let curves: Vec<_> = (0..32).map(|c| knee(1000.0, 10.0, 8 + c % 20)).collect();
         let mut inc = IncrementalSolver::new();
-        warm_solve(&mut inc, &curves, &healthy, &Tracer::off(), 0.0);
+        warm_solve(&mut inc, &curves, &healthy, &Tracer::off());
         assert!(inc.is_warm());
         // A Center bank of cluster 1 dies: the fingerprint mismatch must
         // force a cold solve on the degraded machine.
         let mut mask = BankMask::all_healthy(64);
         mask.disable(BankId(41));
         let degraded = DegradedTopology::new(topo, mask);
-        let plan = warm_solve(&mut inc, &curves, &degraded, &Tracer::off(), 0.0);
+        let plan = warm_solve(&mut inc, &curves, &degraded, &Tracer::off());
         assert_eq!(plan, full_solve(&curves, &degraded));
         assert_eq!(inc.stats().full_solves, 2);
-    }
-
-    #[test]
-    fn below_threshold_drift_reuses_the_cached_plan() {
-        let machine = ring(16);
-        let curves: Vec<_> = (0..16).map(|c| knee(1000.0, 10.0, 8 + c)).collect();
-        let mut inc = IncrementalSolver::new();
-        let first = warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.25);
-        // A tiny wobble on every core: mean |Δmiss-ratio| stays far below
-        // the 0.25 threshold, so nothing re-solves and the old plan holds.
-        let wobbled: Vec<_> = (0..16).map(|c| knee(1001.0, 10.0, 8 + c)).collect();
-        let second = warm_solve(&mut inc, &wobbled, &machine, &Tracer::off(), 0.25);
-        assert_eq!(first, second);
-        assert_eq!(inc.stats().warm_hits, 2);
-        assert_eq!(inc.stats().cluster_solves, 2, "cold pass only");
-        // Drift accumulates against the *baseline*, not the previous epoch:
-        // a genuine phase change trips the threshold and re-solves. One
-        // core per cluster turns voracious so the new plan is lopsided.
-        let mut shifted: Vec<_> = (0..16).map(|_| knee(100.0, 60.0, 2)).collect();
-        shifted[0] = knee(80_000.0, 0.0, 64);
-        shifted[8] = knee(80_000.0, 0.0, 64);
-        let third = warm_solve(&mut inc, &shifted, &machine, &Tracer::off(), 0.25);
-        assert_eq!(third, full_solve(&shifted, &machine));
-        assert_ne!(third, first);
     }
 
     #[test]
@@ -491,7 +448,7 @@ mod tests {
         let machine = ring(16);
         let curves: Vec<_> = (0..16).map(|c| knee(1000.0, 10.0, 8 + c)).collect();
         let mut inc = IncrementalSolver::new();
-        warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
+        warm_solve(&mut inc, &curves, &machine, &Tracer::off());
         assert!(inc.is_warm());
         // Perturb one cluster and starve the budget: the dirty shard fails.
         let mut moved = curves.clone();
@@ -504,7 +461,6 @@ mod tests {
                 &BankAwareConfig::default(),
                 &Tracer::off(),
                 SolveBudget::steps(1),
-                0.0,
             )
             .unwrap_err();
         assert!(matches!(err, PartitionError::BudgetExhausted { .. }));
@@ -518,8 +474,8 @@ mod tests {
         let machine = DegradedTopology::healthy(Topology::baseline());
         let curves: Vec<_> = (0..8).map(|c| knee(1000.0, 10.0, 8 + c * 6)).collect();
         let mut inc = IncrementalSolver::new();
-        let a = warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
-        let b = warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
+        let a = warm_solve(&mut inc, &curves, &machine, &Tracer::off());
+        let b = warm_solve(&mut inc, &curves, &machine, &Tracer::off());
         assert_eq!(a, b);
         assert_eq!(a, full_solve(&curves, &machine));
         assert_eq!(inc.stats().warm_hits, 1);
@@ -530,12 +486,12 @@ mod tests {
         let machine = ring(16);
         let curves: Vec<_> = (0..16).map(|c| knee(1000.0, 10.0, 8 + c)).collect();
         let mut inc = IncrementalSolver::new();
-        warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
+        warm_solve(&mut inc, &curves, &machine, &Tracer::off());
         let text = serde_json::to_string(&inc).unwrap();
         let mut restored: IncrementalSolver = serde_json::from_str(&text).unwrap();
         assert!(restored.is_warm());
         // The restored solver goes on reusing shards, no cold re-solve.
-        let plan = warm_solve(&mut restored, &curves, &machine, &Tracer::off(), 0.0);
+        let plan = warm_solve(&mut restored, &curves, &machine, &Tracer::off());
         assert_eq!(plan, full_solve(&curves, &machine));
         assert_eq!(restored.stats().full_solves, 1, "no new cold solve");
         assert_eq!(restored.stats().warm_hits, 2);
@@ -545,27 +501,37 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The incremental equivalence contract: after any sequence of
-        /// random per-core curve perturbations, the warm-start plan at
-        /// threshold 0 is identical to the full-solve oracle.
+        /// random per-core curve perturbations and redrawn step budgets,
+        /// every warm-start result — plan or error — is the cold sharded
+        /// solve's.
         #[test]
         fn warm_start_matches_full_solve_under_random_perturbations(
+            size in 0usize..3,
             epochs in proptest::collection::vec(
-                proptest::collection::vec((0usize..32, 100.0f64..60_000.0, 2usize..100), 0..6),
+                (
+                    proptest::collection::vec((0usize..128, 100.0f64..60_000.0, 2usize..100), 0..6),
+                    prop_oneof![3 => Just(0u64), 1 => 1u64..3_000],
+                ),
                 1..6,
             )
         ) {
-            let machine = ring(32);
-            let mut curves: Vec<_> = (0..32)
+            let cores = [32, 64, 128][size];
+            let mut curves: Vec<_> = (0..cores)
                 .map(|c| knee(1000.0 + 13.0 * c as f64, 5.0, 6 + c % 30))
                 .collect();
+            let cfg = BankAwareConfig::default();
             let mut inc = IncrementalSolver::new();
-            for moves in epochs {
+            let machine = ring(cores);
+            for (moves, steps) in epochs {
                 for (core, base, ways) in moves {
-                    curves[core] = knee(base, base * 0.01, ways);
+                    curves[core % cores] = knee(base, base * 0.01, ways);
                 }
-                let warm = warm_solve(&mut inc, &curves, &machine, &Tracer::off(), 0.0);
-                let oracle = full_solve(&curves, &machine);
-                prop_assert_eq!(warm, oracle);
+                let budget = SolveBudget::steps(steps);
+                let warm = inc.solve(&curves, &machine, 8, &cfg, &Tracer::off(), budget);
+                let cold = try_bank_aware_partition_budgeted(
+                    &curves, &machine, 8, &cfg, &Tracer::off(), budget,
+                );
+                prop_assert_eq!(warm, cold);
             }
         }
     }

@@ -20,8 +20,8 @@
 //!   session, requests apply in id order. No session sits behind a lock
 //!   and no thread starts inside a tick, so the determinism contract
 //!   holds by construction. A panic quarantines its own session only.
-//! * **Warm starts** — sessions run the [`crate::IncrementalSolver`] with
-//!   a zero delta threshold, so steady-state decisions reuse cluster
+//! * **Warm starts** — every session's controller solves through the
+//!   [`crate::IncrementalSolver`], so steady-state decisions reuse cluster
 //!   sub-plans bit-identically to a cold solve at a fraction of the cost.
 //! * **Restarts** — [`DecisionService::checkpoint`] captures every
 //!   session (warm solver state included) as a

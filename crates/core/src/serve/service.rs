@@ -23,8 +23,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// Tunables of the decision service. The defaults mirror the experiment
-/// fleet: 8-way banks, the reference profiler geometry, and warm starts
-/// on (threshold 0 — bit-identical reuse, proven in PR 7).
+/// fleet: 8-way banks and the reference profiler geometry. Every session
+/// solves warm, as every controller does.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Ways per L2 bank on every session's machine.
@@ -69,7 +69,7 @@ impl Default for ServeConfig {
             profiler_sets: 64,
             profiler_max_ways: 72,
             solver: BankAwareConfig::default(),
-            control: ControlConfig::default().with_warm_starts(),
+            control: ControlConfig::default(),
             history: 4,
             checkpoint_path: None,
             max_cores: 256,

@@ -549,23 +549,10 @@ impl SharedMemory {
         }
     }
 
-    /// The wall-clock deadline for this epoch's decision, from the
-    /// configured budget (`None` — the default — never sheds).
-    fn epoch_deadline(&self) -> Option<std::time::Instant> {
-        let nanos = self.controller.control().budget.max_epoch_nanos;
-        (nanos > 0).then(|| std::time::Instant::now() + std::time::Duration::from_nanos(nanos))
-    }
-
     fn decide_epoch(&mut self, epoch: u64) {
-        // The deadline covers the whole profile→assign→plan pipeline, so it
-        // starts before fault handling and curve transport.
-        let deadline = self.epoch_deadline();
         let Some(inj) = self.injector.clone() else {
             let curves = self.controller.curves();
-            if let Some(plan) = self
-                .controller
-                .epoch_boundary_with_curves_deadline(curves, deadline)
-            {
+            if let Some(plan) = self.controller.epoch_boundary_with_curves(curves) {
                 self.install(plan);
             }
             self.push_epoch_history();
@@ -614,10 +601,7 @@ impl SharedMemory {
 
         let mut curves = self.controller.curves();
         self.fault_counters.curves_corrupted += inj.corrupt_curves(epoch, &mut curves);
-        if let Some(plan) = self
-            .controller
-            .epoch_boundary_with_curves_deadline(curves, deadline)
-        {
+        if let Some(plan) = self.controller.epoch_boundary_with_curves(curves) {
             self.install(plan);
         }
         self.push_epoch_history();

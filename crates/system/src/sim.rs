@@ -133,8 +133,8 @@ pub struct RunResult {
     /// degradation ladder or SLO enforcement, and by how many ways.
     pub core_degrades: bap_fault::CoreDegradeLedger,
     /// Warm-start solver accounting: decisions, full solves, per-cluster
-    /// re-solves and warm hits (all zero unless
-    /// [`bap_types::IncrementalConfig`] is enabled).
+    /// re-solves and warm hits of every Bank-aware solve (all zero under
+    /// the other policies).
     pub incremental: bap_core::IncrementalStats,
 }
 

@@ -6,7 +6,7 @@
 //! to a sane plan. This module defines the knobs of the robustness layer
 //! that drops those assumptions:
 //!
-//! * [`DecisionBudget`] — a step/time budget for one epoch's
+//! * [`DecisionBudget`] — a deterministic step budget for one epoch's
 //!   profile→assign→plan decision. When it is exhausted the solver either
 //!   closes out early from a consistent checkpoint (late phases) or the
 //!   controller sheds the decision and keeps the last-good plan.
@@ -21,16 +21,15 @@
 //! **Every default is behaviour-neutral**: the budget is unlimited, the
 //! hysteresis gate is disabled, and the guard only observes (it acts only
 //! on violations, which healthy runs never produce). The paper's golden
-//! figures are bit-identical with `ControlConfig::default()`.
+//! figures are bit-identical with `ControlConfig::default()`. Warm starts
+//! have no knob: the controller's one Bank-aware solve reuses a cluster's
+//! sub-plan only when everything that sub-solve reads is unchanged, so
+//! they never move a plan.
 
 use serde::{Deserialize, Serialize};
 
-/// Budget for one epoch's partitioning decision.
-///
-/// Both limits are *disabled at zero*. The step budget is deterministic
-/// (counted in solver bid evaluations); the nanosecond budget is wall-clock
-/// and therefore non-deterministic — it is meant for production deployments
-/// that care about tail decision latency, not for reproducible experiments.
+/// Budget for one epoch's partitioning decision, counted in solver bid
+/// evaluations so that it is deterministic. Disabled at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionBudget {
     /// Maximum marginal-utility solver steps per epoch (0 = unlimited).
@@ -42,17 +41,6 @@ pub struct DecisionBudget {
     /// out from the last consistent checkpoint — every open core keeps its
     /// remaining own-bank ways — and still yields a valid plan.
     pub max_solver_steps: u64,
-    /// Maximum wall-clock nanoseconds for the whole epoch decision
-    /// (0 = unlimited). Checked at stage boundaries (after curve
-    /// sanitisation, before the solve); an overrun sheds the decision.
-    pub max_epoch_nanos: u64,
-}
-
-impl DecisionBudget {
-    /// True when neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.max_solver_steps == 0 && self.max_epoch_nanos == 0
-    }
 }
 
 /// Anti-thrash hysteresis thresholds for the plan-install gate.
@@ -128,55 +116,6 @@ impl HysteresisConfig {
     }
 }
 
-/// The incremental (warm-start) solver knobs.
-///
-/// On clustered floorplans the Bank-aware solve decomposes into independent
-/// per-cluster shards; the incremental solver caches the previous epoch's
-/// per-cluster sub-plans and curves, and at each boundary re-solves only the
-/// clusters whose miss-ratio curves moved past `delta_threshold` — the rest
-/// reuse their cached sub-plan verbatim (a *warm-start hit*).
-///
-/// With the default threshold of `0.0` a cluster is reused only when its
-/// curves are bit-for-bit unchanged, so the emitted plan is **identical** to
-/// a full solve (the sub-solve is deterministic in its inputs): warm starts
-/// are then a pure latency optimisation and the golden figures and the
-/// offline replay gate hold exactly. Raising the threshold trades plan
-/// fidelity for fewer re-solves on slowly drifting workloads; the stored
-/// per-cluster curve baseline is only advanced when a cluster is re-solved,
-/// so slow drift accumulates until it trips the threshold rather than
-/// escaping detection one epoch at a time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IncrementalConfig {
-    /// Master switch. When false every epoch runs the full (cold) solve,
-    /// exactly as before the warm-start path existed.
-    pub enabled: bool,
-    /// Per-cluster curve movement (max per-core mean absolute miss-ratio
-    /// delta vs the curves at that cluster's last re-solve) above which the
-    /// cluster is re-solved. `0.0` = re-solve on any change at all.
-    pub delta_threshold: f64,
-}
-
-impl Default for IncrementalConfig {
-    /// Disabled: behaviour- and trace-neutral, like every other control
-    /// default.
-    fn default() -> Self {
-        IncrementalConfig {
-            enabled: false,
-            delta_threshold: 0.0,
-        }
-    }
-}
-
-impl IncrementalConfig {
-    /// Warm starts on, at exact plan fidelity (threshold 0.0).
-    pub fn warm() -> Self {
-        IncrementalConfig {
-            enabled: true,
-            delta_threshold: 0.0,
-        }
-    }
-}
-
 /// The full control-loop robustness bundle.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ControlConfig {
@@ -188,8 +127,6 @@ pub struct ControlConfig {
     /// emits events and escalates on *violations*, so leaving it on is
     /// behaviour-neutral for healthy runs.
     pub guard: bool,
-    /// Incremental warm-start solving (disabled by default).
-    pub incremental: IncrementalConfig,
 }
 
 impl Default for ControlConfig {
@@ -198,7 +135,6 @@ impl Default for ControlConfig {
             budget: DecisionBudget::default(),
             hysteresis: HysteresisConfig::default(),
             guard: true,
-            incremental: IncrementalConfig::default(),
         }
     }
 }
@@ -211,19 +147,12 @@ impl ControlConfig {
             budget: DecisionBudget::default(),
             hysteresis: HysteresisConfig::tuned(),
             guard: true,
-            incremental: IncrementalConfig::default(),
         }
     }
 
     /// Preset with a deterministic solver step budget on top of `self`.
     pub fn with_step_budget(mut self, steps: u64) -> Self {
         self.budget.max_solver_steps = steps;
-        self
-    }
-
-    /// Preset with exact-fidelity warm starts enabled on top of `self`.
-    pub fn with_warm_starts(mut self) -> Self {
-        self.incremental = IncrementalConfig::warm();
         self
     }
 }
@@ -235,7 +164,7 @@ mod tests {
     #[test]
     fn defaults_are_behaviour_neutral() {
         let c = ControlConfig::default();
-        assert!(c.budget.is_unlimited());
+        assert_eq!(c.budget.max_solver_steps, 0, "unlimited");
         assert!(!c.hysteresis.enabled);
         assert!(c.guard, "guard observes but never alters healthy runs");
     }
@@ -266,7 +195,11 @@ mod tests {
     #[test]
     fn step_budget_builder() {
         let c = ControlConfig::default().with_step_budget(500);
-        assert_eq!(c.budget.max_solver_steps, 500);
-        assert!(!c.budget.is_unlimited());
+        assert_eq!(
+            c.budget,
+            DecisionBudget {
+                max_solver_steps: 500
+            }
+        );
     }
 }

@@ -25,7 +25,7 @@ pub mod topology;
 
 pub use addr::{Addr, BlockAddr};
 pub use config::{CacheGeometry, L2Geometry, SystemConfig};
-pub use control::{ControlConfig, DecisionBudget, HysteresisConfig, IncrementalConfig};
+pub use control::{ControlConfig, DecisionBudget, HysteresisConfig};
 pub use coreset::CoreSet;
 pub use degraded::{BankMask, DegradedTopology, MAX_BANKS};
 pub use ids::{BankId, CoreId, WayIdx};

@@ -18,9 +18,7 @@ use bankaware::recovery::Checkpoint;
 use bankaware::system::{EpochControl, SimOptions, System};
 use bankaware::trace::wire::{RequestKind, WireCurve, WireRequest};
 use bankaware::types::config::DramKind;
-use bankaware::types::{
-    ControlConfig, QosConfig, RegulatorConfig, ReplicationConfig, SloSpec, SystemConfig,
-};
+use bankaware::types::{QosConfig, RegulatorConfig, ReplicationConfig, SloSpec, SystemConfig};
 use bankaware::workloads::{spec_by_name, WorkloadSpec};
 use proptest::collection;
 use proptest::prelude::*;
@@ -248,7 +246,6 @@ fn opts(dram: DramKind) -> SimOptions {
     o.measure_instructions = 60_000;
     o.shared_fraction = 0.05;
     o.lookup_isolation = true;
-    o.control = ControlConfig::default().with_warm_starts();
     let slo = |min_ways| SloSpec {
         max_wcl_cycles: 60_000,
         min_ways,

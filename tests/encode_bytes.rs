@@ -18,9 +18,7 @@ use bankaware::trace::wire::{
     WireLogEntry, WireRequest, WireResponse, WireSummary,
 };
 use bankaware::types::config::DramKind;
-use bankaware::types::{
-    ControlConfig, QosConfig, RegulatorConfig, ReplicationConfig, SloSpec, SystemConfig,
-};
+use bankaware::types::{QosConfig, RegulatorConfig, ReplicationConfig, SloSpec, SystemConfig};
 use bankaware::workloads::spec_by_name;
 
 /// Floats whose shortest round-trip text takes every shape the writer
@@ -343,7 +341,6 @@ fn system_checkpoint(dram: DramKind) -> Vec<u8> {
     o.measure_instructions = 60_000;
     o.shared_fraction = 0.05;
     o.lookup_isolation = true;
-    o.control = ControlConfig::default().with_warm_starts();
     let slo = |min_ways| SloSpec {
         max_wcl_cycles: 60_000,
         min_ways,
