@@ -48,7 +48,7 @@ use crate::bank_aware::{
 use bap_cache::PartitionPlan;
 use bap_msa::MissRatioCurve;
 use bap_trace::{EventKind, Tracer};
-use bap_types::DegradedTopology;
+use bap_types::{BankMask, DegradedTopology};
 
 /// Plain counters describing how much work warm starts saved. The numbers
 /// surface in `RunResult` so experiments can report re-solve rates without
@@ -72,8 +72,10 @@ struct WarmState {
     /// The curves each cluster was last *re-solved* against (per core,
     /// global order).
     curves: Vec<MissRatioCurve>,
-    /// Bank-mask fingerprint at the last solve.
-    mask_bits: u64,
+    /// The exact bank mask at the last solve (`None` in a state written
+    /// before the mask was recorded: it never matches, so the first solve
+    /// after restoring one runs cold).
+    mask: Option<BankMask>,
     /// Topology shape at the last solve.
     num_cores: usize,
     num_banks: usize,
@@ -106,7 +108,7 @@ impl WarmState {
         budget: SolveBudget,
     ) -> bool {
         let topo = machine.topology();
-        self.mask_bits == machine.mask().bits()
+        self.mask.as_ref() == Some(machine.mask())
             && self.num_cores == topo.num_cores()
             && self.num_banks == topo.num_banks()
             && self.clusters == topo.num_clusters()
@@ -276,7 +278,7 @@ impl IncrementalSolver {
         let plan = merge_shards(&solutions, machine, bank_ways, tracer)?;
         self.warm = Some(WarmState {
             curves: curve_refs.iter().map(|&c| c.clone()).collect(),
-            mask_bits: machine.mask().bits(),
+            mask: Some(*machine.mask()),
             num_cores: topo.num_cores(),
             num_banks: topo.num_banks(),
             clusters,
@@ -296,7 +298,7 @@ impl IncrementalSolver {
 mod tests {
     use super::*;
     use crate::bank_aware::try_bank_aware_partition_budgeted;
-    use bap_types::{BankId, BankMask, Topology};
+    use bap_types::{BankId, Topology};
     use proptest::prelude::*;
 
     fn knee(base: f64, floor: f64, knee_ways: usize) -> MissRatioCurve {
@@ -497,41 +499,104 @@ mod tests {
         assert_eq!(restored.stats().warm_hits, 2);
     }
 
+    #[test]
+    fn a_warm_state_without_its_mask_restores_and_solves_cold() {
+        let machine = ring(16);
+        let curves: Vec<_> = (0..16).map(|c| knee(1000.0, 10.0, 8 + c)).collect();
+        let mut inc = IncrementalSolver::new();
+        warm_solve(&mut inc, &curves, &machine, &Tracer::off());
+        // Drop `warm.mask`, as a checkpoint written before it was recorded.
+        let mut state = serde_json::to_value(&inc);
+        let serde_json::Value::Object(members) = &mut state else {
+            panic!("the solver state is an object")
+        };
+        let Some((_, serde_json::Value::Object(warm))) =
+            members.iter_mut().find(|(k, _)| k == "warm")
+        else {
+            panic!("a solved state is warm")
+        };
+        warm.retain(|(k, _)| k != "mask");
+        let text = serde_json::to_string(&state).unwrap();
+        let mut restored: IncrementalSolver = serde_json::from_str(&text).unwrap();
+        assert!(restored.is_warm());
+        let plan = warm_solve(&mut restored, &curves, &machine, &Tracer::off());
+        assert_eq!(plan, full_solve(&curves, &machine));
+        assert_eq!(restored.stats().full_solves, 2, "the first solve runs cold");
+        assert_eq!(restored.stats().warm_hits, 0);
+    }
+
+    /// The machine of one proptest decision: `offline` lists `(bank, word)`
+    /// draws; each takes `bank` offline and, when `word` names another
+    /// 64-bank word of the mask, the bank with the same bit in that word
+    /// too. Such a pair folds to the `bits()` of the mask without it.
+    fn degraded_ring(cores: usize, offline: &[(usize, usize)]) -> DegradedTopology {
+        let topo = Topology::ring_of_paper_dies(cores);
+        let banks = topo.num_banks();
+        let words = banks.div_ceil(64);
+        let mut mask = BankMask::all_healthy(banks);
+        for &(bank, word) in offline {
+            let bank = bank % banks;
+            mask.disable(BankId::from_index(bank));
+            if word % words != 0 {
+                mask.disable(BankId::from_index((bank + 64 * (word % words)) % banks));
+            }
+        }
+        DegradedTopology::new(topo, mask)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// The incremental equivalence contract: after any sequence of
-        /// random per-core curve perturbations and redrawn step budgets,
-        /// every warm-start result — plan or error — is the cold sharded
-        /// solve's.
+        /// random per-core curve perturbations, bank-mask transitions
+        /// (pairs that collide in `BankMask::bits()` included) and
+        /// redrawn step budgets, every warm-start result — plan or error —
+        /// is the cold sharded solve's. Each decision keeps the previous
+        /// mask and budget unless it draws new ones, so warm reuse meets
+        /// every kind of transition. The script runs on 32-, 64- and
+        /// 128-core rings (one, two and four mask words).
         #[test]
         fn warm_start_matches_full_solve_under_random_perturbations(
-            size in 0usize..3,
             epochs in proptest::collection::vec(
                 (
                     proptest::collection::vec((0usize..128, 100.0f64..60_000.0, 2usize..100), 0..6),
-                    prop_oneof![3 => Just(0u64), 1 => 1u64..3_000],
+                    prop_oneof![
+                        2 => Just(None),
+                        1 => proptest::collection::vec((0usize..256, 0usize..4), 0..3).prop_map(Some),
+                    ],
+                    prop_oneof![
+                        2 => Just(None),
+                        1 => Just(Some(0u64)),
+                        1 => (1u64..3_000).prop_map(Some),
+                    ],
                 ),
-                1..6,
+                1..8,
             )
         ) {
-            let cores = [32, 64, 128][size];
-            let mut curves: Vec<_> = (0..cores)
-                .map(|c| knee(1000.0 + 13.0 * c as f64, 5.0, 6 + c % 30))
-                .collect();
             let cfg = BankAwareConfig::default();
-            let mut inc = IncrementalSolver::new();
-            let machine = ring(cores);
-            for (moves, steps) in epochs {
-                for (core, base, ways) in moves {
-                    curves[core % cores] = knee(base, base * 0.01, ways);
+            for cores in [32, 64, 128] {
+                let mut curves: Vec<_> = (0..cores)
+                    .map(|c| knee(1000.0 + 13.0 * c as f64, 5.0, 6 + c % 30))
+                    .collect();
+                let mut inc = IncrementalSolver::new();
+                let mut machine = ring(cores);
+                let mut budget = SolveBudget::unlimited();
+                for (moves, offline, steps) in &epochs {
+                    for &(core, base, ways) in moves {
+                        curves[core % cores] = knee(base, base * 0.01, ways);
+                    }
+                    if let Some(offline) = offline {
+                        machine = degraded_ring(cores, offline);
+                    }
+                    if let Some(steps) = *steps {
+                        budget = SolveBudget::steps(steps);
+                    }
+                    let warm = inc.solve(&curves, &machine, 8, &cfg, &Tracer::off(), budget);
+                    let cold = try_bank_aware_partition_budgeted(
+                        &curves, &machine, 8, &cfg, &Tracer::off(), budget,
+                    );
+                    prop_assert_eq!(warm, cold, "{} cores", cores);
                 }
-                let budget = SolveBudget::steps(steps);
-                let warm = inc.solve(&curves, &machine, 8, &cfg, &Tracer::off(), budget);
-                let cold = try_bank_aware_partition_budgeted(
-                    &curves, &machine, 8, &cfg, &Tracer::off(), budget,
-                );
-                prop_assert_eq!(warm, cold);
             }
         }
     }

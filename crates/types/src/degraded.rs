@@ -53,12 +53,14 @@ impl BankMask {
         self.num_banks
     }
 
-    /// A compact 64-bit health fingerprint — the form stamped into
-    /// solver-timing trace events and benchmark rows so degraded-mode solve
-    /// costs are attributable to the mask they ran under. For masks of at
-    /// most 64 banks (every machine the trace gates pin) this is exactly the
-    /// raw bit word, bit `b` set = bank `b` healthy; wider masks fold their
-    /// words together with XOR.
+    /// A compact 64-bit health label — the form stamped into solver-timing
+    /// trace events and benchmark rows so degraded-mode solve costs are
+    /// attributable to the mask they ran under. For masks of at most 64
+    /// banks (every machine the trace gates pin) this is exactly the raw
+    /// bit word, bit `b` set = bank `b` healthy; wider masks fold their
+    /// words together with XOR, so it does not identify a mask: past 64
+    /// banks, losing banks 0 and 64 leaves the healthy mask's label.
+    /// Compare masks themselves to tell machines apart.
     pub fn bits(&self) -> u64 {
         self.words.iter().fold(0, |acc, w| acc ^ w)
     }

@@ -10,8 +10,9 @@
 //! * A checkpoint that lacks any one optional member, and carries one
 //!   member no version wrote, still restores: the optional members are
 //!   those older checkpoints predate (`poisoned`, `dedup`, `term`,
-//!   `ledger`, `slo_admitted`, `incremental`, `regulator`, `epoch_worst`,
-//!   `worst_history`, `bound_history`, `current_bounds`).
+//!   `ledger`, `slo_admitted`, `incremental`, the warm state's `mask`,
+//!   `regulator`, `epoch_worst`, `worst_history`, `bound_history`,
+//!   `current_bounds`).
 
 use bankaware::partitioning::{DecisionService, Policy, ServeConfig};
 use bankaware::recovery::Checkpoint;
@@ -203,13 +204,14 @@ fn a_service_checkpoint_without_an_optional_member_still_restores() {
         .expect("an unknown member is tolerated");
     assert_eq!(fresh.checkpoint().encode(), bytes);
 
-    let optional: [&[&str]; 6] = [
+    let optional: [&[&str]; 7] = [
         &["poisoned"],
         &["term"],
         &["sessions", "*", "dedup"],
         &["sessions", "*", "state", "ledger"],
         &["sessions", "*", "state", "slo_admitted"],
         &["sessions", "*", "state", "incremental"],
+        &["sessions", "*", "state", "incremental", "warm", "mask"],
     ];
     for path in optional {
         let mut v = full.clone();
@@ -296,10 +298,11 @@ fn a_system_checkpoint_restores_and_reencodes_to_its_bytes() {
 
 #[test]
 fn a_system_checkpoint_without_an_optional_member_still_restores() {
-    let optional: [&[&str]; 9] = [
+    let optional: [&[&str]; 10] = [
         &["mem", "controller", "ledger"],
         &["mem", "controller", "slo_admitted"],
         &["mem", "controller", "incremental"],
+        &["mem", "controller", "incremental", "warm", "mask"],
         &["mem", "noc", "regulator"],
         &["mem", "dram", "state", "regulator"],
         &["mem", "epoch_worst"],

@@ -314,3 +314,70 @@ fn shutdown_drains_the_inflight_batch() {
         other => panic!("expected Plan, got {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------------
+// Warm starts equal cold solves on wide machines.
+// ---------------------------------------------------------------------------
+
+/// A session that loses two banks in different 64-bank words of its mask
+/// (whose `BankMask::bits()` folds to the healthy label) and decides again
+/// on the same curves is answered with the cold solver's plan for the
+/// degraded machine, not by the degradation ladder.
+#[test]
+fn a_wide_mask_bank_loss_is_solved_like_a_cold_start() {
+    use bankaware::msa::MissRatioCurve;
+    use bankaware::partitioning::{try_bank_aware_partition, BankAwareConfig};
+    use bankaware::types::{BankId, BankMask, DegradedTopology, Topology};
+
+    for (cores, lost) in [(64, [0u16, 64]), (128, [3, 131])] {
+        let curves = knee_curves(cores, 0x5EED);
+        let snapshot = |id| {
+            WireRequest::new(
+                id,
+                RequestKind::Snapshot {
+                    session: 1,
+                    curves: curves.clone(),
+                },
+            )
+        };
+        let mut service = DecisionService::new(ServeConfig::default());
+        service.process_batch(&[
+            WireRequest::new(1, RequestKind::Open { session: 1, cores }),
+            snapshot(2),
+        ]);
+        let topo = Topology::ring_of_paper_dies(cores);
+        let mut mask = BankMask::all_healthy(topo.num_banks());
+        for bank in lost {
+            service.fail_bank(1, bank);
+            mask.disable(BankId(bank));
+        }
+        assert_eq!(mask.bits(), BankMask::all_healthy(mask.num_banks()).bits());
+        let cold = try_bank_aware_partition(
+            &curves
+                .iter()
+                .map(|c| MissRatioCurve::from_misses(c.misses.clone(), c.accesses))
+                .collect::<Vec<_>>(),
+            &DegradedTopology::new(topo, mask),
+            ServeConfig::default().bank_ways,
+            &BankAwareConfig::default(),
+        )
+        .expect("the degraded machine is solvable");
+
+        let answer = service.process_batch(&[snapshot(3)]);
+        let ResponseKind::Decision {
+            source,
+            fingerprint,
+            summary,
+            ..
+        } = &answer[0].kind
+        else {
+            panic!(
+                "{cores} cores: expected a Decision, got {:?}",
+                answer[0].kind
+            )
+        };
+        assert_eq!(source, "solver", "{cores} cores without banks {lost:?}");
+        assert_eq!(*fingerprint, cold.fingerprint(), "{cores} cores");
+        assert_eq!(summary.solver_failures, 0, "{cores} cores");
+    }
+}
