@@ -155,11 +155,6 @@ impl IncrementalSolver {
         self.warm.is_some()
     }
 
-    /// Drop the warm cache; the next solve runs cold.
-    pub fn invalidate(&mut self) {
-        self.warm = None;
-    }
-
     /// The incremental counterpart of
     /// [`crate::bank_aware::try_bank_aware_partition_budgeted`]: same
     /// inputs, same outputs, same error surface — plus the warm-start
